@@ -14,9 +14,9 @@ from okuboplane import Vec8
 from okuboplane.algebra import AlgebraKind, E, mul, random_vec, trial_rng
 from okuboplane.collineation import (
     OctReflection,
-    Phi,
-    PhiInv,
-    PPhi,
+    PHI,
+    PHI_INV,
+    PPHI,
     Shear,
     Translation,
     Triality,
@@ -34,7 +34,7 @@ rng = trial_rng(0, 0)
 a, b = random_vec(rng), random_vec(rng)
 for coll in (Translation(OK, a, b), Shear(OK, a), Triality(OK)):
     rep = preserves_incidence(coll, trials=100, seed=0)
-    print(f"{type(coll).__name__:12s} preserves incidence on 100 sampled pairs: {rep.ok}")
+    print(f"{coll.name:12s} preserves incidence on 100 sampled pairs: {rep.ok}")
 
 t = Triality(OK)
 p = random_affine_point(trial_rng(0, 1))
@@ -42,11 +42,11 @@ print(f"triality cubed on {p}: returns the point -> {compose(t, t, t).apply_poin
 
 print()
 print("== the isomorphisms Phi (to octonions) and pPhi (to para-octonions) ==")
-for coll in (Phi(), PPhi()):
+for coll in (PHI, PPHI):
     inc = preserves_incidence(coll, trials=200, seed=1)
     iso = is_isometry(coll, trials=200, seed=1)
-    print(f"{type(coll).__name__:5s} incidence both directions: {inc.ok},  exact isometry: {iso.ok}")
-round_trip = compose(Phi(), PhiInv())
+    print(f"{coll.name:5s} incidence both directions: {inc.ok},  exact isometry: {iso.ok}")
+round_trip = compose(PHI, PHI_INV)
 print(f"Phi followed by its inverse is the identity: {round_trip.apply_point(p) == p}")
 
 print()

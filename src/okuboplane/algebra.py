@@ -63,10 +63,7 @@ class AlgebraKind(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> AlgebraKind:
-        for kind in cls:
-            if kind.value == label:
-                return kind
-        raise ValueError(f"unknown algebra kind {label!r}")
+        return cls(label)  # ValueError for an unknown label
 
 
 BASIS_NAMES = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
@@ -144,18 +141,17 @@ _VEC_BASIS = tuple(
 )
 
 E = _VEC_BASIS[0]
+BASIS = _VEC_BASIS  # e, i1..i7
 
 
+@dataclass(frozen=True)
 class HermMat3:
     """3x3 matrix over the complexified scalars; rows are tuples."""
 
-    __slots__ = ("rows",)
+    rows: Sequence[Sequence[CQSqrt3]]
 
-    def __init__(self, rows: Sequence[Sequence[CQSqrt3]]) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HermMat3 is immutable")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
 
     def __getitem__(self, ij: tuple[int, int]) -> CQSqrt3:
         return self.rows[ij[0]][ij[1]]
@@ -195,25 +191,13 @@ class HermMat3:
                     return False
         return True
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HermMat3):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-
-def _cq(a: QSqrt3 = QS_ZERO, b: QSqrt3 = QS_ZERO) -> CQSqrt3:
-    return CQSqrt3(a, b)
-
 
 def _real(num: int, den: int = 1, *, sqrt3: bool = False) -> CQSqrt3:
-    return _cq(QSqrt3.of(num, den, sqrt3=sqrt3))
+    return CQSqrt3(QSqrt3.of(num, den, sqrt3=sqrt3))
 
 
 def _imag(num: int, den: int = 1, *, sqrt3: bool = False) -> CQSqrt3:
-    return _cq(QS_ZERO, QSqrt3.of(num, den, sqrt3=sqrt3))
+    return CQSqrt3(QS_ZERO, QSqrt3.of(num, den, sqrt3=sqrt3))
 
 
 _Z = CQ_ZERO
@@ -270,10 +254,10 @@ def matrix_polar(x: HermMat3, y: HermMat3) -> QSqrt3:
 
 def vec_to_matrix(v: Vec8) -> HermMat3:
     mats = basis_matrices()
-    out = mats[0].scale(_cq(v.c[0]))
+    out = mats[0].scale(CQSqrt3(v.c[0]))
     for k in range(1, 8):
         if v.c[k]:
-            out = out + mats[k].scale(_cq(v.c[k]))
+            out = out + mats[k].scale(CQSqrt3(v.c[k]))
     return out
 
 
@@ -539,61 +523,55 @@ def trivolution_table_report() -> dict:
     }
 
 
+def left_quotient(kind: AlgebraKind, a: Vec8, b: Vec8) -> Vec8:
+    """L(a, b) with a o L(a, b) = n(a) b: conj(a).b in the unital octonions,
+    b*a in the symmetric products, where (a*b)*a = a*(b*a) = n(a) b."""
+    if kind is AlgebraKind.OCTONION:
+        return mul(kind, conjugate_oct(a), b)
+    return mul(kind, b, a)
+
+
+def right_quotient(kind: AlgebraKind, a: Vec8, b: Vec8) -> Vec8:
+    """R(a, b) with R(a, b) o a = n(a) b: b.conj(a) in the unital octonions,
+    a*b in the symmetric products."""
+    if kind is AlgebraKind.OCTONION:
+        return mul(kind, b, conjugate_oct(a))
+    return mul(kind, a, b)
+
+
 def solve_left(kind: AlgebraKind, a: Vec8, b: Vec8) -> Vec8:
     """The unique x with a o x = b (a != 0)."""
     if not a:
         raise DivisionByZeroElement("a o x = b needs a != 0")
-    na_inv = norm(a).inv()
-    if kind is AlgebraKind.OCTONION:
-        return mul(kind, conjugate_oct(a), b).scale(na_inv)
-    return mul(kind, b, a).scale(na_inv)
+    return left_quotient(kind, a, b).scale(norm(a).inv())
 
 
 def solve_right(kind: AlgebraKind, a: Vec8, b: Vec8) -> Vec8:
     """The unique x with x o a = b (a != 0)."""
     if not a:
         raise DivisionByZeroElement("x o a = b needs a != 0")
-    na_inv = norm(a).inv()
-    if kind is AlgebraKind.OCTONION:
-        return mul(kind, b, conjugate_oct(a)).scale(na_inv)
-    return mul(kind, a, b).scale(na_inv)
+    return right_quotient(kind, a, b).scale(norm(a).inv())
 
 
-IDENTITY_NAMES = (
-    "Moufang1",
-    "Moufang2",
-    "Moufang3",
-    "Flexible",
-    "AlternativeLeft",
-    "AlternativeRight",
-    "Composition",
-    "SymmetricComposition",
-    "NormAssociative",
-)
+# name -> law(m, x, y, z), with m the product of the kind under test
+_IDENTITIES = {
+    "Moufang1": lambda m, x, y, z: m(m(m(x, y), x), z) == m(x, m(y, m(x, z))),
+    "Moufang2": lambda m, x, y, z: m(m(m(z, x), y), x) == m(z, m(x, m(y, x))),
+    "Moufang3": lambda m, x, y, z: m(m(x, y), m(z, x)) == m(x, m(m(y, z), x)),
+    "Flexible": lambda m, x, y, z: m(x, m(y, x)) == m(m(x, y), x),
+    "AlternativeLeft": lambda m, x, y, z: m(x, m(x, y)) == m(m(x, x), y),
+    "AlternativeRight": lambda m, x, y, z: m(m(y, x), x) == m(y, m(x, x)),
+    "Composition": lambda m, x, y, z: norm(m(x, y)) == norm(x) * norm(y),
+    "SymmetricComposition": lambda m, x, y, z: m(m(x, y), x) == y.scale(norm(x)),
+    "NormAssociative": lambda m, x, y, z: polar(m(x, y), z) == polar(x, m(y, z)),
+}
 
 
 def check_identity(kind: AlgebraKind, name: str, x: Vec8, y: Vec8, z: Vec8) -> bool:
     """Evaluate both sides of the named identity exactly and compare."""
-    m = lambda a, b: mul(kind, a, b)
-    if name == "Moufang1":
-        return m(m(m(x, y), x), z) == m(x, m(y, m(x, z)))
-    if name == "Moufang2":
-        return m(m(m(z, x), y), x) == m(z, m(x, m(y, x)))
-    if name == "Moufang3":
-        return m(m(x, y), m(z, x)) == m(x, m(m(y, z), x))
-    if name == "Flexible":
-        return m(x, m(y, x)) == m(m(x, y), x)
-    if name == "AlternativeLeft":
-        return m(x, m(x, y)) == m(m(x, x), y)
-    if name == "AlternativeRight":
-        return m(m(y, x), x) == m(y, m(x, x))
-    if name == "Composition":
-        return norm(m(x, y)) == norm(x) * norm(y)
-    if name == "SymmetricComposition":
-        return m(m(x, y), x) == y.scale(norm(x))
-    if name == "NormAssociative":
-        return polar(m(x, y), z) == polar(x, m(y, z))
-    raise ValueError(f"unknown identity {name!r}")
+    if name not in _IDENTITIES:
+        raise ValueError(f"unknown identity {name!r}")
+    return _IDENTITIES[name](lambda a, b: mul(kind, a, b), x, y, z)
 
 
 def product_conversion_crosscheck(x: Vec8, y: Vec8) -> bool:

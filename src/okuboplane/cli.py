@@ -17,28 +17,9 @@ from typing import Optional, Sequence
 from .report import TheoremReport, reports_to_json
 from .suites import SUITES, dump_tables, suite_all
 
-COMMANDS = (
-    "identities",
-    "plane-axioms",
-    "veronese",
-    "collineations",
-    "isometry",
-    "desargues",
-    "ptr",
-    "g2",
-    "dump-tables",
-    "all",
-)
+COMMANDS = (*SUITES, "dump-tables", "all")
 
 SEED_ENV_VAR = "OKUBOPLANE_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--seed",
                 type=int,
-                default=_default_seed(),
+                # a string default goes through type=int: a bad value exits 2
+                default=os.environ.get(SEED_ENV_VAR, "0"),
                 help=f"base seed for trial generators (default: ${SEED_ENV_VAR} or 0)",
             )
             p.add_argument(

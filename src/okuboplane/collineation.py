@@ -15,16 +15,17 @@ the isomorphism is the closed form (tau(conj(y)), tau2(conj(x))).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
+    BASIS,
     AlgebraKind,
     E,
     Vec8,
     conjugate_oct,
     mul,
-    norm,
     random_vec,
+    solve_left,
     trial_rng,
     trivolution,
     trivolution_basis_images,
@@ -41,12 +42,14 @@ from .plane import (
     PLANES,
     SlopePoint,
     VerticalLine,
+    VeroneseVec,
     InfiniteElement,
+    PostconditionViolation,
     random_incident_pair,
     random_affine_point,
 )
-from .report import TheoremReport, stopwatch
-from .scalar import QS_ONE, QS_ZERO, QSqrt3
+from .report import TheoremReport, pass_report
+from .scalar import QS_ZERO, QSqrt3
 
 
 class KindMismatch(TypeError):
@@ -73,6 +76,11 @@ class Collineation:
         raise NotImplementedError
 
     @property
+    def name(self) -> str:
+        """The map's name in report names and demos."""
+        return type(self).__name__
+
+    @property
     def source_plane(self) -> Plane:
         return PLANES[self.source]
 
@@ -81,13 +89,10 @@ class Collineation:
         return PLANES[self.target]
 
 
-@dataclass(frozen=True)
-class Translation(Collineation):
-    """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
+class SamePlane(Collineation):
+    """A collineation of the plane of ``self.kind`` onto itself."""
 
     kind: AlgebraKind
-    a: Vec8
-    b: Vec8
 
     @property
     def source(self) -> AlgebraKind:
@@ -96,6 +101,15 @@ class Translation(Collineation):
     @property
     def target(self) -> AlgebraKind:
         return self.kind
+
+
+@dataclass(frozen=True)
+class Translation(SamePlane):
+    """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
+
+    kind: AlgebraKind
+    a: Vec8
+    b: Vec8
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
@@ -118,19 +132,11 @@ class Translation(Collineation):
 
 
 @dataclass(frozen=True)
-class Shear(Collineation):
+class Shear(SamePlane):
     """(x, y) -> (x, y + a o x); axis [0], center the infinity point."""
 
     kind: AlgebraKind
     a: Vec8
-
-    @property
-    def source(self) -> AlgebraKind:
-        return self.kind
-
-    @property
-    def target(self) -> AlgebraKind:
-        return self.kind
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
@@ -152,7 +158,7 @@ class Shear(Collineation):
 
 
 @dataclass(frozen=True)
-class Triality(Collineation):
+class Triality(SamePlane):
     """Cyclic shift of Veronese coordinates, read back on the affine chart.
 
     Defined on the Okubo and para planes, whose Veronese conditions are
@@ -166,27 +172,16 @@ class Triality(Collineation):
         if self.kind is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
 
-    @property
-    def source(self) -> AlgebraKind:
-        return self.kind
-
-    @property
-    def target(self) -> AlgebraKind:
-        return self.kind
+    def _shift(self, v: VeroneseVec) -> VeroneseVec:
+        return v.cyclic().cyclic() if self.inverse else v.cyclic()
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         plane = self.source_plane
-        v = plane.point_to_veronese(p).cyclic()
-        if self.inverse:
-            v = v.cyclic()
-        return plane.point_from_veronese(v)
+        return plane.point_from_veronese(self._shift(plane.point_to_veronese(p)))
 
     def apply_line(self, l: PjLine) -> PjLine:
         plane = self.source_plane
-        w = plane.line_to_veronese(l).cyclic()
-        if self.inverse:
-            w = w.cyclic()
-        return plane.line_from_veronese(w)
+        return plane.line_from_veronese(self._shift(plane.line_to_veronese(l)))
 
     def to_json(self) -> dict:
         return {"type": "triality", "kind": self.kind.value, "inverse": self.inverse}
@@ -196,143 +191,66 @@ class Triality(Collineation):
 
 
 @dataclass(frozen=True)
-class Phi(Collineation):
-    """Okubo plane -> octonionic plane: (x, y) -> (tau2(conj x), y)."""
+class ChartMap(Collineation):
+    """A map between planes that keeps y and rewrites x by ``f``, slopes by
+    ``g``: (x, y) -> (f(x), y), (s) -> (g(s)), [s, t] -> [g(s), t],
+    [c] -> [f(c)].  The inverse map swaps f and g."""
+
+    label: str
+    tag: str  # the descriptor type, for replay
+    inverse_tag: str
+    source: AlgebraKind
+    target: AlgebraKind
+    f: Callable[[Vec8], Vec8]
+    g: Callable[[Vec8], Vec8]
 
     @property
-    def source(self) -> AlgebraKind:
-        return AlgebraKind.OKUBO
-
-    @property
-    def target(self) -> AlgebraKind:
-        return AlgebraKind.OCTONION
+    def name(self) -> str:
+        return self.label
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
-            return AffinePoint(trivolution_sq(conjugate_oct(p.x)), p.y)
+            return AffinePoint(self.f(p.x), p.y)
         if isinstance(p, SlopePoint):
-            return SlopePoint(trivolution(conjugate_oct(p.s)))
+            return SlopePoint(self.g(p.s))
         return p
 
     def apply_line(self, l: PjLine) -> PjLine:
         if isinstance(l, FiniteLine):
-            return FiniteLine(trivolution(conjugate_oct(l.s)), l.t)
+            return FiniteLine(self.g(l.s), l.t)
         if isinstance(l, VerticalLine):
-            return VerticalLine(trivolution_sq(conjugate_oct(l.c)))
+            return VerticalLine(self.f(l.c))
         return l
 
     def to_json(self) -> dict:
-        return {"type": "phi"}
+        return {"type": self.tag}
 
-    def invert(self) -> PhiInv:
-        return PhiInv()
+    def invert(self) -> ChartMap:
+        return CHART_MAPS[self.inverse_tag]
 
 
-@dataclass(frozen=True)
-class PhiInv(Collineation):
-    """Octonionic plane -> Okubo plane: (x, y) -> (tau(conj x), y)."""
+def _tau_conj(x: Vec8) -> Vec8:
+    return trivolution(conjugate_oct(x))
 
-    @property
-    def source(self) -> AlgebraKind:
-        return AlgebraKind.OCTONION
 
-    @property
-    def target(self) -> AlgebraKind:
-        return AlgebraKind.OKUBO
+def _tau2_conj(x: Vec8) -> Vec8:
+    return trivolution_sq(conjugate_oct(x))
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(trivolution(conjugate_oct(p.x)), p.y)
-        if isinstance(p, SlopePoint):
-            return SlopePoint(trivolution_sq(conjugate_oct(p.s)))
-        return p
 
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            return FiniteLine(trivolution_sq(conjugate_oct(l.s)), l.t)
-        if isinstance(l, VerticalLine):
-            return VerticalLine(trivolution(conjugate_oct(l.c)))
-        return l
-
-    def to_json(self) -> dict:
-        return {"type": "phi-inverse"}
-
-    def invert(self) -> Phi:
-        return Phi()
+_OK, _PA, _OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
+PHI = ChartMap("Phi", "phi", "phi-inverse", _OK, _OC, _tau2_conj, _tau_conj)
+"""Okubo plane -> octonionic plane: (x, y) -> (tau2(conj x), y)."""
+PHI_INV = ChartMap("PhiInv", "phi-inverse", "phi", _OC, _OK, _tau_conj, _tau2_conj)
+"""Octonionic plane -> Okubo plane: (x, y) -> (tau(conj x), y)."""
+PPHI = ChartMap("PPhi", "pphi", "pphi-inverse", _OK, _PA, trivolution_sq, trivolution)
+"""Okubo plane -> para-octonionic plane: (x, y) -> (tau2(x), y)."""
+PPHI_INV = ChartMap("PPhiInv", "pphi-inverse", "pphi", _PA, _OK, trivolution, trivolution_sq)
+"""Para-octonionic plane -> Okubo plane: (x, y) -> (tau(x), y)."""
+CHART_MAPS = {c.tag: c for c in (PHI, PHI_INV, PPHI, PPHI_INV)}
 
 
 @dataclass(frozen=True)
-class PPhi(Collineation):
-    """Okubo plane -> para-octonionic plane: (x, y) -> (tau2(x), y)."""
-
-    @property
-    def source(self) -> AlgebraKind:
-        return AlgebraKind.OKUBO
-
-    @property
-    def target(self) -> AlgebraKind:
-        return AlgebraKind.PARA_OCTONION
-
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(trivolution_sq(p.x), p.y)
-        if isinstance(p, SlopePoint):
-            return SlopePoint(trivolution(p.s))
-        return p
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            return FiniteLine(trivolution(l.s), l.t)
-        if isinstance(l, VerticalLine):
-            return VerticalLine(trivolution_sq(l.c))
-        return l
-
-    def to_json(self) -> dict:
-        return {"type": "pphi"}
-
-    def invert(self) -> PPhiInv:
-        return PPhiInv()
-
-
-@dataclass(frozen=True)
-class PPhiInv(Collineation):
-    """Para-octonionic plane -> Okubo plane: (x, y) -> (tau(x), y)."""
-
-    @property
-    def source(self) -> AlgebraKind:
-        return AlgebraKind.PARA_OCTONION
-
-    @property
-    def target(self) -> AlgebraKind:
-        return AlgebraKind.OKUBO
-
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(trivolution(p.x), p.y)
-        if isinstance(p, SlopePoint):
-            return SlopePoint(trivolution_sq(p.s))
-        return p
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            return FiniteLine(trivolution_sq(l.s), l.t)
-        if isinstance(l, VerticalLine):
-            return VerticalLine(trivolution(l.c))
-        return l
-
-    def to_json(self) -> dict:
-        return {"type": "pphi-inverse"}
-
-    def invert(self) -> PPhi:
-        return PPhi()
-
-
-def _oct_inverse(s: Vec8) -> Vec8:
-    return conjugate_oct(s).scale(norm(s).inv())
-
-
-@dataclass(frozen=True)
-class OctReflection(Collineation):
+class OctReflection(SamePlane):
     """The octonionic swap (x, y) -> (y, x), extended projectively.
 
     On slopes it inverts: (s) -> (s^-1), (0) <-> (inf).  Line images follow
@@ -340,13 +258,7 @@ class OctReflection(Collineation):
     set-wise and [0] goes to the x axis [0, 0].
     """
 
-    @property
-    def source(self) -> AlgebraKind:
-        return AlgebraKind.OCTONION
-
-    @property
-    def target(self) -> AlgebraKind:
-        return AlgebraKind.OCTONION
+    kind = AlgebraKind.OCTONION
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
@@ -354,16 +266,15 @@ class OctReflection(Collineation):
         if isinstance(p, SlopePoint):
             if not p.s:
                 return INFINITY_POINT
-            return SlopePoint(_oct_inverse(p.s))
+            return SlopePoint(solve_left(self.kind, p.s, E))  # s^-1
         return SlopePoint(Vec8.zero())
 
     def apply_line(self, l: PjLine) -> PjLine:
-        oct_mul = lambda a, b: mul(AlgebraKind.OCTONION, a, b)
         if isinstance(l, FiniteLine):
             if not l.s:
                 return VerticalLine(l.t)
-            s_inv = _oct_inverse(l.s)
-            return FiniteLine(s_inv, -oct_mul(s_inv, l.t))
+            s_inv = solve_left(self.kind, l.s, E)
+            return FiniteLine(s_inv, -mul(self.kind, s_inv, l.t))
         if isinstance(l, VerticalLine):
             return FiniteLine(Vec8.zero(), l.c)
         return LINE_AT_INFINITY
@@ -436,15 +347,10 @@ def collineation_from_json(data: dict) -> Collineation:
         return Shear(AlgebraKind.from_label(data["kind"]), Vec8.from_json(data["a"]))
     if tag == "triality":
         return Triality(AlgebraKind.from_label(data["kind"]), data.get("inverse", False))
-    simple = {
-        "phi": Phi,
-        "phi-inverse": PhiInv,
-        "pphi": PPhi,
-        "pphi-inverse": PPhiInv,
-        "octonion-reflection": OctReflection,
-    }
-    if tag in simple:
-        return simple[tag]()
+    if tag in CHART_MAPS:
+        return CHART_MAPS[tag]
+    if tag == "octonion-reflection":
+        return OctReflection()
     if tag == "composite":
         return Composite(tuple(collineation_from_json(s) for s in data["steps"]))
     raise ValueError(f"unknown collineation descriptor {tag!r}")
@@ -455,52 +361,37 @@ def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremRepor
     the target plane, and the converse through the inverse map."""
     src, dst = c.source_plane, c.target_plane
     inv = c.invert()
-    failures = []
-    with stopwatch() as elapsed:
+
+    def outcomes():
         for i in range(trials):
             rng = trial_rng(seed, i)
             p, l = random_incident_pair(src, rng)
             if not dst.incident(c.apply_point(p), c.apply_line(l)):
-                failures.append({"direction": "forward", "point": p.to_json(), "line": l.to_json()})
+                yield {"direction": "forward", "point": p.to_json(), "line": l.to_json()}
             q, m = random_incident_pair(dst, rng)
             if not src.incident(inv.apply_point(q), inv.apply_line(m)):
-                failures.append({"direction": "inverse", "point": q.to_json(), "line": m.to_json()})
-    return TheoremReport(
-        name=f"incidence-preservation:{type(c).__name__}",
-        kind=c.source.value,
-        seed=seed,
-        trials=trials,
-        mode="expect-pass",
-        failures=failures,
-        elapsed_ms=elapsed(),
-    )
+                yield {"direction": "inverse", "point": q.to_json(), "line": m.to_json()}
+
+    return pass_report(f"incidence-preservation:{c.name}", c.source, seed, trials, outcomes)
 
 
 def is_isometry(c: Collineation, trials: int, seed: int) -> TheoremReport:
     """Exact equality of n(dx)^2 + n(dy)^2 before and after the map, on
     random affine pairs."""
     src, dst = c.source_plane, c.target_plane
-    failures = []
-    with stopwatch() as elapsed:
+
+    def outcomes():
         for i in range(trials):
             rng = trial_rng(seed, i)
             p, q = random_affine_point(rng), random_affine_point(rng)
             d_before = src.distance(p, q)
             pi, qi = c.apply_point(p), c.apply_point(q)
             if not (isinstance(pi, AffinePoint) and isinstance(qi, AffinePoint)):
-                failures.append({"point": p.to_json(), "reason": "image not affine"})
-                continue
-            if dst.distance(pi, qi) != d_before:
-                failures.append({"p": p.to_json(), "q": q.to_json()})
-    return TheoremReport(
-        name=f"isometry:{type(c).__name__}",
-        kind=c.source.value,
-        seed=seed,
-        trials=trials,
-        mode="expect-pass",
-        failures=failures,
-        elapsed_ms=elapsed(),
-    )
+                yield {"point": p.to_json(), "reason": "image not affine"}
+            elif dst.distance(pi, qi) != d_before:
+                yield {"p": p.to_json(), "q": q.to_json()}
+
+    return pass_report(f"isometry:{c.name}", c.source, seed, trials, outcomes)
 
 
 def transported_reflection(p: PjPoint) -> PjPoint:
@@ -510,11 +401,9 @@ def transported_reflection(p: PjPoint) -> PjPoint:
     alongside the composite Phi^-1 o swap o Phi and both must agree; infinite
     elements go through the composite only.
     """
-    composite = compose(Phi(), OctReflection(), PhiInv())
-    image = composite.apply_point(p)
-    if isinstance(p, AffinePoint):
-        closed = transported_reflection_closed_form(p)
-        assert closed == image
+    image = compose(PHI, OctReflection(), PHI_INV).apply_point(p)
+    if isinstance(p, AffinePoint) and transported_reflection_closed_form(p) != image:
+        raise PostconditionViolation(f"closed form and composite disagree at {p}")
     return image
 
 
@@ -522,28 +411,23 @@ def transported_reflection_closed_form(p: PjPoint) -> AffinePoint:
     """(x, y) -> (tau(conj y), tau2(conj x)); affine points only."""
     if not isinstance(p, AffinePoint):
         raise InfiniteElement("closed form is stated for affine points")
-    return AffinePoint(
-        trivolution(conjugate_oct(p.y)),
-        trivolution_sq(conjugate_oct(p.x)),
-    )
+    return AffinePoint(_tau_conj(p.y), _tau2_conj(p.x))
 
 
+@dataclass(frozen=True)
 class LinMap8:
     """An 8x8 exact matrix acting on coordinates; rows of QSqrt3."""
 
-    __slots__ = ("rows",)
+    rows: Sequence[Sequence[QSqrt3]]
 
-    def __init__(self, rows: Sequence[Sequence[QSqrt3]]) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
             raise ValueError("LinMap8 needs an 8x8 matrix")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LinMap8 is immutable")
-
     @classmethod
     def identity(cls) -> LinMap8:
-        return cls([[QS_ONE if i == j else QS_ZERO for j in range(8)] for i in range(8)])
+        return cls.from_basis_images(BASIS)
 
     @classmethod
     def from_basis_images(cls, images: Sequence[Vec8]) -> LinMap8:
@@ -563,14 +447,6 @@ class LinMap8:
                     acc = acc + rij * vj
             out.append(acc)
         return Vec8(tuple(out))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinMap8):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
 
 def g2_triple_check(a: LinMap8, b: LinMap8, c: LinMap8, trials: int, seed: int) -> bool:

@@ -7,10 +7,13 @@ as a verification layer (the bilinear form ``beta`` vanishes exactly on
 incident point/line images) and as the coordinate system in which the triality
 collineation is a plain cyclic shift.
 
-For the octonionic plane the third slot of a point image is ``y * conj(x)``
-and the Veronese conditions carry conjugations on the outer slots; this is the
-unique placement under which point images, line data and ``beta``-incidence
-are mutually consistent (checked exactly in the test suite).
+The kinds differ only in how a product is divided out, through the quotient
+maps ``L`` and ``R`` of :mod:`.algebra` (a o L(a, b) = n(a) b = R(a, b) o a).
+They give the slope through two points, the meet of two lines, the third slot
+of a point image ``R(x, y)``, the first slot of a line image ``L(s, t)`` and
+the outer Veronese conditions; for the octonions these carry the conjugations,
+the unique placement under which point images, line data and
+``beta``-incidence are mutually consistent (checked exactly in the tests).
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ from typing import Union
 from .algebra import (
     AlgebraKind,
     Vec8,
-    conjugate_oct,
+    left_quotient,
     mul,
     norm,
     polar,
     random_vec,
+    right_quotient,
+    solve_left,
+    solve_right,
 )
-from .scalar import QS_ONE, QS_ZERO, QSqrt3, render
+from .scalar import QS_ONE, QS_ZERO, QSqrt3, parse, render
 
 
 class EqualPoints(ValueError):
@@ -45,6 +51,11 @@ class InfiniteElement(ValueError):
 
 class NotVeronese(ValueError):
     """A vector violating the Veronese conditions where they are required."""
+
+
+class PostconditionViolation(ArithmeticError):
+    """A closed formula returned an element failing its defining incidences
+    (an arithmetic bug); raised explicitly so that ``python -O`` keeps it."""
 
 
 @dataclass(frozen=True)
@@ -180,8 +191,6 @@ class VeroneseVec:
 
     @staticmethod
     def from_json(data: dict) -> VeroneseVec:
-        from .scalar import parse
-
         xs = [Vec8.from_json(v) for v in data["x"]]
         ls = [parse(v) for v in data["l"]]
         return VeroneseVec(xs[0], xs[1], xs[2], ls[0], ls[1], ls[2])
@@ -234,26 +243,20 @@ class Plane:
 
     # -- join / meet -------------------------------------------------------
 
-    def _slope_through(self, dx: Vec8, dy: Vec8) -> Vec8:
-        """The unique s with s o dx = dy, for dx != 0."""
-        n_inv = norm(dx).inv()
-        if self.kind is AlgebraKind.OCTONION:
-            return self.mul(dy, conjugate_oct(dx)).scale(n_inv)
-        return self.mul(dx, dy).scale(n_inv)
-
     def join(self, p: PjPoint, q: PjPoint) -> PjLine:
         """The unique line through two distinct points (verified on exit)."""
         if p == q:
             raise EqualPoints(f"join of equal points {p}")
         out = self._join(p, q)
-        assert self.incident(p, out) and self.incident(q, out)
+        if not (self.incident(p, out) and self.incident(q, out)):
+            raise PostconditionViolation(f"join of {p} and {q} gave {out}")
         return out
 
     def _join(self, p: PjPoint, q: PjPoint) -> PjLine:
         if isinstance(p, AffinePoint) and isinstance(q, AffinePoint):
             if p.x == q.x:
                 return VerticalLine(p.x)
-            s = self._slope_through(p.x - q.x, p.y - q.y)
+            s = solve_right(self.kind, p.x - q.x, p.y - q.y)
             return FiniteLine(s, p.y - self.mul(s, p.x))
         if isinstance(q, AffinePoint):
             p, q = q, p
@@ -268,19 +271,15 @@ class Plane:
         if l == m:
             raise EqualLines(f"meet of equal lines {l}")
         out = self._meet(l, m)
-        assert self.incident(out, l) and self.incident(out, m)
+        if not (self.incident(out, l) and self.incident(out, m)):
+            raise PostconditionViolation(f"meet of {l} and {m} gave {out}")
         return out
 
     def _meet(self, l: PjLine, m: PjLine) -> PjPoint:
         if isinstance(l, FiniteLine) and isinstance(m, FiniteLine):
             if l.s == m.s:
                 return SlopePoint(l.s)
-            ds = l.s - m.s
-            n_inv = norm(ds).inv()
-            if self.kind is AlgebraKind.OCTONION:
-                x = self.mul(conjugate_oct(ds), m.t - l.t).scale(n_inv)
-            else:
-                x = self.mul(m.t - l.t, ds).scale(n_inv)
+            x = solve_left(self.kind, l.s - m.s, m.t - l.t)
             return AffinePoint(x, self.mul(l.s, x) + l.t)
         if isinstance(m, FiniteLine):
             l, m = m, l
@@ -302,10 +301,7 @@ class Plane:
 
     def point_to_veronese(self, p: PjPoint) -> VeroneseVec:
         if isinstance(p, AffinePoint):
-            if self.kind is AlgebraKind.OCTONION:
-                z = self.mul(p.y, conjugate_oct(p.x))
-            else:
-                z = self.mul(p.x, p.y)
+            z = right_quotient(self.kind, p.x, p.y)
             return VeroneseVec(p.x, p.y, z, norm(p.y), norm(p.x), QS_ONE)
         if isinstance(p, SlopePoint):
             return VeroneseVec(Vec8.zero(), Vec8.zero(), p.s, norm(p.s), QS_ONE, QS_ZERO)
@@ -313,10 +309,7 @@ class Plane:
 
     def line_to_veronese(self, l: PjLine) -> VeroneseVec:
         if isinstance(l, FiniteLine):
-            if self.kind is AlgebraKind.OCTONION:
-                w1 = self.mul(conjugate_oct(l.s), l.t)
-            else:
-                w1 = self.mul(l.t, l.s)
+            w1 = left_quotient(self.kind, l.s, l.t)
             return VeroneseVec(w1, -l.t, -l.s, QS_ONE, norm(l.s), norm(l.t))
         if isinstance(l, VerticalLine):
             return VeroneseVec(-l.c, Vec8.zero(), Vec8.zero(), QS_ZERO, QS_ONE, norm(l.c))
@@ -352,16 +345,10 @@ class Plane:
             or norm(v.x3) != v.l1 * v.l2
         ):
             return False
-        if self.kind is AlgebraKind.OCTONION:
-            return (
-                v.x1.scale(v.l1) == self.mul(conjugate_oct(v.x3), v.x2)
-                and v.x2.scale(v.l2) == self.mul(v.x3, v.x1)
-                and v.x3.scale(v.l3) == self.mul(v.x2, conjugate_oct(v.x1))
-            )
         return (
-            v.x1.scale(v.l1) == self.mul(v.x2, v.x3)
+            v.x1.scale(v.l1) == left_quotient(self.kind, v.x3, v.x2)
             and v.x2.scale(v.l2) == self.mul(v.x3, v.x1)
-            and v.x3.scale(v.l3) == self.mul(v.x1, v.x2)
+            and v.x3.scale(v.l3) == right_quotient(self.kind, v.x1, v.x2)
         )
 
     def normalize_veronese(self, v: VeroneseVec) -> tuple[VeroneseVec, bool]:
@@ -389,15 +376,8 @@ class Plane:
         return nx * nx + ny * ny
 
 
-OKUBO_PLANE = Plane(AlgebraKind.OKUBO)
-PARA_PLANE = Plane(AlgebraKind.PARA_OCTONION)
-OCTONION_PLANE = Plane(AlgebraKind.OCTONION)
-
-PLANES = {
-    AlgebraKind.OKUBO: OKUBO_PLANE,
-    AlgebraKind.PARA_OCTONION: PARA_PLANE,
-    AlgebraKind.OCTONION: OCTONION_PLANE,
-}
+PLANES = {kind: Plane(kind) for kind in AlgebraKind}
+OCTONION_PLANE, PARA_PLANE, OKUBO_PLANE = PLANES.values()  # AlgebraKind's order
 
 
 # -- randomized sampling helpers (shared by suites and tests) ---------------
@@ -406,7 +386,7 @@ def random_affine_point(rng: random.Random) -> AffinePoint:
     return AffinePoint(random_vec(rng), random_vec(rng))
 
 
-def random_point(plane: Plane, rng: random.Random) -> PjPoint:
+def random_point(rng: random.Random) -> PjPoint:
     r = rng.random()
     if r < 0.85:
         return random_affine_point(rng)
@@ -415,7 +395,7 @@ def random_point(plane: Plane, rng: random.Random) -> PjPoint:
     return INFINITY_POINT
 
 
-def random_line(plane: Plane, rng: random.Random) -> PjLine:
+def random_line(rng: random.Random) -> PjLine:
     r = rng.random()
     if r < 0.80:
         return FiniteLine(random_vec(rng), random_vec(rng))
@@ -424,29 +404,30 @@ def random_line(plane: Plane, rng: random.Random) -> PjLine:
     return LINE_AT_INFINITY
 
 
-def random_point_on(plane: Plane, l: PjLine, rng: random.Random) -> PjPoint:
+def random_affine_point_on(plane: Plane, l: PjLine, rng: random.Random) -> AffinePoint:
+    """An affine point of the finite or vertical line ``l``."""
     if isinstance(l, FiniteLine):
-        if rng.random() < 0.05:
-            return SlopePoint(l.s)
         x = random_vec(rng)
         return AffinePoint(x, plane.mul(l.s, x) + l.t)
-    if isinstance(l, VerticalLine):
-        if rng.random() < 0.05:
-            return INFINITY_POINT
-        return AffinePoint(l.c, random_vec(rng))
-    if rng.random() < 0.1:
-        return INFINITY_POINT
-    return SlopePoint(random_vec(rng))
+    return AffinePoint(l.c, random_vec(rng))
+
+
+def random_point_on(plane: Plane, l: PjLine, rng: random.Random) -> PjPoint:
+    if isinstance(l, LineAtInfinity):
+        return INFINITY_POINT if rng.random() < 0.1 else SlopePoint(random_vec(rng))
+    if rng.random() < 0.05:
+        return SlopePoint(l.s) if isinstance(l, FiniteLine) else INFINITY_POINT
+    return random_affine_point_on(plane, l, rng)
 
 
 def random_incident_pair(plane: Plane, rng: random.Random) -> tuple[PjPoint, PjLine]:
-    l = random_line(plane, rng)
+    l = random_line(rng)
     return random_point_on(plane, l, rng), l
 
 
 def random_non_incident_pair(plane: Plane, rng: random.Random) -> tuple[PjPoint, PjLine]:
     while True:
-        p = random_point(plane, rng)
-        l = random_line(plane, rng)
+        p = random_point(rng)
+        l = random_line(rng)
         if not plane.incident(p, l):
             return p, l

@@ -14,7 +14,13 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
+
+from .algebra import AlgebraKind
+
+# Produces a report's outcomes (None for a trial with nothing to record); it is
+# called inside the report's stopwatch, so a generator function times its work.
+Outcomes = Callable[[], Iterable[Optional[dict]]]
 
 
 @dataclass
@@ -35,11 +41,6 @@ class TheoremReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def require_witness(self, description: str) -> None:
-        """For expect-witness reports: log a failure if no witness was found."""
-        if self.mode == "expect-witness" and not self.witnesses:
-            self.failures.append({"reason": f"no witness found: {description}"})
 
     def to_json(self) -> dict:
         return {
@@ -71,6 +72,32 @@ def stopwatch() -> Iterator[Callable[[], float]]:
     """with stopwatch() as elapsed: ...; elapsed() -> milliseconds."""
     start = time.perf_counter()
     yield lambda: (time.perf_counter() - start) * 1000.0
+
+
+def pass_report(
+    name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes
+) -> TheoremReport:
+    """expect-pass: every outcome that is not None is a counterexample."""
+    with stopwatch() as elapsed:
+        failures = [f for f in outcomes() if f is not None]
+    return TheoremReport(
+        name=name, kind=kind.value, seed=seed, trials=trials,
+        mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
+    )
+
+
+def witness_report(
+    name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes, missing: str
+) -> TheoremReport:
+    """expect-witness: the first outcome that is not None is the witness; the
+    scan stops there.  Finding none is a failure that says what is ``missing``."""
+    with stopwatch() as elapsed:
+        witness = next((w for w in outcomes() if w is not None), None)
+    return TheoremReport(
+        name=name, kind=kind.value, seed=seed, trials=trials, mode="expect-witness",
+        failures=[{"reason": f"no witness found: {missing}"}] if witness is None else [],
+        witnesses=[] if witness is None else [witness], elapsed_ms=elapsed(),
+    )
 
 
 def reports_to_json(reports: list[TheoremReport]) -> str:

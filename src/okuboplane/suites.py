@@ -1,5 +1,11 @@
 """Named verification suites, one list of reports per CLI command.
 
+A suite is a table of rows.  A ``Check`` row samples ``check(arg, rng)`` on
+the derived rng of each trial, where ``arg`` is the kind or its plane; a
+``Scan`` row's generator yields its outcomes itself; a ``Build`` row makes its
+report whole.  Reports come kinds-outer, rows inner, one for each row that
+lists the kind.
+
 Expected-fail statements (Moufang laws in the symmetric algebras, the full
 Desargues theorem, PTR linearity, the coordinate swap) succeed by *finding*
 an exact witness; a missing witness within budget is a suite failure, so the
@@ -8,752 +14,608 @@ exit-status contract stays monotone.
 
 from __future__ import annotations
 
+import random
+from itertools import combinations, product
+from typing import Callable, Iterator, NamedTuple, Optional
+
 from . import theorems
 from .algebra import (
+    BASIS,
     AlgebraKind,
     E,
     Vec8,
+    basis_matrices,
     check_identity,
     conjugate_oct,
     gram,
+    matrix_to_vec,
     mul,
     norm,
+    okubo_matrix_mul,
+    product_conversion_crosscheck,
     random_nonzero_vec,
     random_vec,
     solve_left,
     solve_right,
     structure_table,
-    product_conversion_crosscheck,
     trial_rng,
     trivolution,
     trivolution_basis_images,
     trivolution_sq,
     trivolution_table_report,
-    basis_matrices,
-    matrix_to_vec,
-    okubo_matrix_mul,
 )
 from .collineation import (
+    PHI,
+    PHI_INV,
+    PPHI,
+    PPHI_INV,
     LinMap8,
     OctReflection,
-    Phi,
-    PhiInv,
-    PPhi,
-    PPhiInv,
     Shear,
     Translation,
     Triality,
     compose,
+    g2_triple_check,
     is_isometry,
     preserves_incidence,
     transported_reflection,
-    transported_reflection_closed_form,
 )
 from .plane import (
     AffinePoint,
     FiniteLine,
     INFINITY_POINT,
     PLANES,
-    Plane,
+    PostconditionViolation,
     SlopePoint,
+    VerticalLine,
     beta,
     random_affine_point,
+    random_affine_point_on,
     random_incident_pair,
     random_line,
     random_non_incident_pair,
     random_point,
 )
-from .report import TheoremReport, stopwatch
+from .report import TheoremReport, pass_report, witness_report
+from .scalar import QS_ONE
+
+OK, PA, OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
+ALL = (OK, PA, OC)
+SYMMETRIC = (OK, PA)
 
 
 def resolve_kinds(kind: str) -> list[AlgebraKind]:
     if kind == "all":
-        return [AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION]
+        return list(ALL)
     return [AlgebraKind.from_label(kind)]
 
 
-def _pass_report(name, kind, seed, trials, check) -> TheoremReport:
-    """Run `check(rng, i) -> failure dict or None` over derived trial rngs."""
-    failures = []
-    with stopwatch() as elapsed:
-        for i in range(trials):
-            failure = check(trial_rng(seed, i), i)
-            if failure is not None:
-                failures.append(failure)
-    return TheoremReport(
-        name=name, kind=kind.value, seed=seed, trials=trials,
-        mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
-    )
+def _upto(cap: int) -> Callable[[int], int]:
+    return lambda trials: min(trials, cap)
 
 
-# -- identities --------------------------------------------------------------
+class Check(NamedTuple):
+    """A sampled row.  ``check(arg, rng)`` returns a failure, or a witness
+    when ``missing`` is set (expect-witness: it says what finding none means).
+    ``budget`` turns the --trials value into the row's trial count."""
 
-def _composition_report(kind, trials, seed):
-    def check(rng, i):
-        x, y = random_vec(rng), random_vec(rng)
-        if norm(mul(kind, x, y)) != norm(x) * norm(y):
-            return {"x": x.to_json(), "y": y.to_json()}
+    name: str
+    kinds: tuple[AlgebraKind, ...]
+    check: Callable[[object, random.Random], Optional[dict]]
+    budget: Callable[[int], int] = lambda trials: trials
+    missing: Optional[str] = None
+
+    def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
+        return (self.check(arg, trial_rng(seed, i)) for i in range(n))
+
+    def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
+        n = self.budget(trials)
+        outcomes = lambda: self.outcomes(arg, n, seed)
+        if self.missing is None:
+            return pass_report(self.name, kind, seed, n, outcomes)
+        return witness_report(self.name, kind, seed, n, outcomes, self.missing)
+
+
+class Scan(Check):
+    """A row whose generator ``check(arg, n, seed)`` yields the outcomes
+    itself: a basis scan, or a search that derives its own seeds."""
+
+    def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
+        return self.check(arg, n, seed)
+
+
+class Build(NamedTuple):
+    """A row whose report ``build(arg, trials, seed)`` makes whole."""
+
+    kinds: tuple[AlgebraKind, ...]
+    build: Callable[[object, int, int], TheoremReport]
+
+    def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
+        return self.build(arg, trials, seed)
+
+
+def _suite(rows, arg=lambda kind: kind, kinds=resolve_kinds):
+    """A suite command over ``rows``: kinds outer, rows inner, one report per
+    row that lists the kind."""
+
+    def run(kind: str, trials: int, seed: int) -> list[TheoremReport]:
+        return [
+            row.report(k, arg(k), trials, seed)
+            for k in kinds(kind) for row in rows if k in row.kinds
+        ]
+
+    return run
+
+
+# -- identities (arg: the kind) -----------------------------------------------
+
+def _law(name: str, arity: int = 2):
+    """Check of the named identity at random x, y (and z; else z = y)."""
+
+    def check(kind, rng):
+        xs = [random_vec(rng) for _ in range(arity)]
+        x, y, z = xs if arity == 3 else (*xs, xs[1])
+        if not check_identity(kind, name, x, y, z):
+            return dict(zip("xyz", (v.to_json() for v in xs)))
         return None
 
-    return _pass_report("norm-composition", kind, seed, trials, check)
+    return check
 
 
-def _symmetric_composition_report(kind, trials, seed):
-    if kind is AlgebraKind.OCTONION:
-        report = TheoremReport(
-            name="symmetric-composition-fails", kind=kind.value, seed=seed,
-            trials=trials, mode="expect-witness",
-        )
-        with stopwatch() as elapsed:
-            for i in range(8):
-                for j in range(8):
-                    x, y = Vec8.basis(i), Vec8.basis(j)
-                    if not check_identity(kind, "SymmetricComposition", x, y, y):
-                        report.witnesses.append({"x": x.to_json(), "y": y.to_json()})
-                        break
-                if report.witnesses:
-                    break
-        report.elapsed_ms = elapsed()
-        report.require_witness("octonion counterexample to (x.y).x = n(x) y")
-        return report
-
-    def check(rng, i):
-        x, y = random_vec(rng), random_vec(rng)
+def _symmetric_composition_fails(kind, n, seed):
+    for x, y in product(BASIS, repeat=2):
         if not check_identity(kind, "SymmetricComposition", x, y, y):
-            return {"x": x.to_json(), "y": y.to_json()}
-        return None
-
-    return _pass_report("symmetric-composition", kind, seed, trials, check)
+            yield {"x": x.to_json(), "y": y.to_json()}
 
 
-def _flexibility_report(kind, trials, seed):
-    def check(rng, i):
-        x, y = random_vec(rng), random_vec(rng)
-        if not check_identity(kind, "Flexible", x, y, y):
-            return {"x": x.to_json(), "y": y.to_json()}
-        return None
-
-    return _pass_report("flexibility", kind, seed, trials, check)
-
-
-def _division_report(kind, trials, seed):
-    def check(rng, i):
-        a = random_nonzero_vec(rng)
-        b = random_vec(rng)
-        if mul(kind, a, solve_left(kind, a, b)) != b:
-            return {"side": "left", "a": a.to_json(), "b": b.to_json()}
-        if mul(kind, solve_right(kind, a, b), a) != b:
-            return {"side": "right", "a": a.to_json(), "b": b.to_json()}
-        return None
-
-    return _pass_report("division-solutions", kind, seed, trials, check)
+def _division(kind, rng):
+    a = random_nonzero_vec(rng)
+    b = random_vec(rng)
+    if mul(kind, a, solve_left(kind, a, b)) != b:
+        return {"side": "left", "a": a.to_json(), "b": b.to_json()}
+    if mul(kind, solve_right(kind, a, b), a) != b:
+        return {"side": "right", "a": a.to_json(), "b": b.to_json()}
+    return None
 
 
-def _positivity_report(kind, trials, seed):
-    def check(rng, i):
-        x = random_nonzero_vec(rng)
-        if norm(x).sign() <= 0:
-            return {"x": x.to_json()}
-        return None
-
-    return _pass_report("norm-positive-definite", kind, seed, trials, check)
+def _positive_norm(kind, rng):
+    x = random_nonzero_vec(rng)
+    if norm(x).sign() <= 0:
+        return {"x": x.to_json()}
+    return None
 
 
-def _norm_associative_report(kind, trials, seed):
-    def check(rng, i):
-        x, y, z = random_vec(rng), random_vec(rng), random_vec(rng)
-        if not check_identity(kind, "NormAssociative", x, y, z):
-            return {"x": x.to_json(), "y": y.to_json(), "z": z.to_json()}
-        return None
-
-    return _pass_report("norm-associativity", kind, seed, trials, check)
-
-
-def _unit_report(kind, trials, seed):
-    if kind is AlgebraKind.OCTONION:
-        def check(rng, i):
-            v = random_vec(rng)
-            if mul(kind, E, v) != v or mul(kind, v, E) != v:
-                return {"v": v.to_json(), "law": "unit"}
-            if mul(kind, v, conjugate_oct(v)) != E.scale(norm(v)):
-                return {"v": v.to_json(), "law": "x.conj(x) = n(x) e"}
-            return None
-
-        return _pass_report("unit-and-conjugation", kind, seed, trials, check)
-    if kind is AlgebraKind.PARA_OCTONION:
-        def check(rng, i):
-            v = random_vec(rng)
-            cv = conjugate_oct(v)
-            if mul(kind, E, v) != cv or mul(kind, v, E) != cv:
-                return {"v": v.to_json()}
-            return None
-
-        return _pass_report("para-unit-conjugates", kind, seed, trials, check)
-
-    def check(rng, i):
-        v = random_vec(rng)
-        # no unit: e is only idempotent; left/right e-actions invert each other
-        if mul(kind, E, E) != E:
-            return {"law": "e*e = e"}
-        if mul(kind, mul(kind, E, v), E) != v:
-            return {"v": v.to_json(), "law": "(e*v)*e = v"}
-        return None
-
-    return _pass_report("idempotent-actions", kind, seed, trials, check)
+def _octonion_unit(kind, rng):
+    v = random_vec(rng)
+    if mul(kind, E, v) != v or mul(kind, v, E) != v:
+        return {"v": v.to_json(), "law": "unit"}
+    if mul(kind, v, conjugate_oct(v)) != E.scale(norm(v)):
+        return {"v": v.to_json(), "law": "x.conj(x) = n(x) e"}
+    return None
 
 
-def _tau_reports(trials, seed):
-    kind = AlgebraKind.OKUBO
-    reports = []
+def _para_unit_conjugates(kind, rng):
+    v = random_vec(rng)
+    cv = conjugate_oct(v)
+    if mul(kind, E, v) != cv or mul(kind, v, E) != cv:
+        return {"v": v.to_json()}
+    return None
 
-    failures = []
-    with stopwatch() as elapsed:
-        for k in range(8):
-            v = Vec8.basis(k)
-            if trivolution(trivolution(trivolution(v))) != v:
-                failures.append({"basis": k})
-            if trivolution_sq(v) != trivolution(trivolution(v)):
-                failures.append({"basis": k, "law": "tau2 = tau o tau"})
-    reports.append(TheoremReport(
-        name="trivolution-order-three", kind=kind.value, seed=seed, trials=8,
-        mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
-    ))
 
-    def check_auto(rng, i):
-        x, y = random_vec(rng), random_vec(rng)
-        if trivolution(mul(kind, x, y)) != mul(kind, trivolution(x), trivolution(y)):
-            return {"product": "okubo", "x": x.to_json(), "y": y.to_json()}
-        oct_kind = AlgebraKind.OCTONION
-        if trivolution(mul(oct_kind, x, y)) != mul(oct_kind, trivolution(x), trivolution(y)):
-            return {"product": "octonion", "x": x.to_json(), "y": y.to_json()}
-        return None
+def _idempotent_actions(kind, rng):
+    v = random_vec(rng)
+    # no unit: e is only idempotent; left/right e-actions invert each other
+    if mul(kind, E, E) != E:
+        return {"law": "e*e = e"}
+    if mul(kind, mul(kind, E, v), E) != v:
+        return {"v": v.to_json(), "law": "(e*v)*e = v"}
+    return None
 
-    reports.append(_pass_report("trivolution-automorphism", kind, seed, trials, check_auto))
 
-    comparison = trivolution_table_report()
-    info = TheoremReport(
+def _structure_oracle(kind, n, seed):
+    mats, table = basis_matrices(), structure_table(kind)
+    for i, j in product(range(8), repeat=2):
+        if table.products[i][j] != matrix_to_vec(okubo_matrix_mul(mats[i], mats[j])):
+            yield {"i": i, "j": j}
+
+
+def _gram_minors(kind, n, seed):
+    for index, minor in enumerate(gram().leading_minors()):
+        if minor.sign() <= 0:
+            yield {"minor": index + 1, "value": str(minor)}
+
+
+def _product_conversions(kind, rng):
+    x, y = random_vec(rng), random_vec(rng)
+    if not product_conversion_crosscheck(x, y):
+        return {"x": x.to_json(), "y": y.to_json()}
+    return None
+
+
+def _trivolution_order(kind, n, seed):
+    for k, v in enumerate(BASIS):
+        if trivolution(trivolution(trivolution(v))) != v:
+            yield {"basis": k}
+        if trivolution_sq(v) != trivolution(trivolution(v)):
+            yield {"basis": k, "law": "tau2 = tau o tau"}
+
+
+def _trivolution_automorphism(kind, rng):
+    x, y = random_vec(rng), random_vec(rng)
+    if trivolution(mul(kind, x, y)) != mul(kind, trivolution(x), trivolution(y)):
+        return {"product": "okubo", "x": x.to_json(), "y": y.to_json()}
+    if trivolution(mul(OC, x, y)) != mul(OC, trivolution(x), trivolution(y)):
+        return {"product": "octonion", "x": x.to_json(), "y": y.to_json()}
+    return None
+
+
+def _trivolution_table(kind, trials, seed):
+    # informational: documents the discrepancy with the conventional table
+    return TheoremReport(
         name="trivolution-convention-table-comparison", kind=kind.value, seed=seed,
-        trials=8, mode="expect-pass", elapsed_ms=0.0,
-    )
-    info.witnesses.append(comparison)  # informational: documented discrepancy
-    reports.append(info)
-    return reports
-
-
-def _structure_oracle_report(seed):
-    kind = AlgebraKind.OKUBO
-    failures = []
-    with stopwatch() as elapsed:
-        mats = basis_matrices()
-        table = structure_table(kind)
-        for i in range(8):
-            for j in range(8):
-                oracle = matrix_to_vec(okubo_matrix_mul(mats[i], mats[j]))
-                if table.products[i][j] != oracle:
-                    failures.append({"i": i, "j": j})
-    return TheoremReport(
-        name="structure-table-vs-matrix-oracle", kind=kind.value, seed=seed,
-        trials=64, mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
+        trials=8, mode="expect-pass", witnesses=[trivolution_table_report()],
     )
 
 
-def _gram_report(seed):
-    failures = []
-    with stopwatch() as elapsed:
-        minors = gram().leading_minors()
-        for index, minor in enumerate(minors):
-            if minor.sign() <= 0:
-                failures.append({"minor": index + 1, "value": str(minor)})
-    return TheoremReport(
-        name="gram-positive-definite-minors", kind=AlgebraKind.OKUBO.value,
-        seed=seed, trials=8, mode="expect-pass", failures=failures,
-        elapsed_ms=elapsed(),
-    )
+IDENTITY_ROWS = (
+    Check("norm-composition", ALL, _law("Composition")),
+    Check("symmetric-composition", SYMMETRIC, _law("SymmetricComposition")),
+    Scan("symmetric-composition-fails", (OC,), _symmetric_composition_fails,
+         missing="octonion counterexample to (x.y).x = n(x) y"),
+    Check("flexibility", ALL, _law("Flexible")),
+    Build(ALL, theorems.moufang_failure_witness),
+    Check("division-solutions", ALL, _division),
+    Check("norm-positive-definite", ALL, _positive_norm),
+    Check("norm-associativity", SYMMETRIC, _law("NormAssociative", 3)),
+    Check("unit-and-conjugation", (OC,), _octonion_unit),
+    Check("para-unit-conjugates", (PA,), _para_unit_conjugates),
+    Check("idempotent-actions", (OK,), _idempotent_actions),
+    Scan("structure-table-vs-matrix-oracle", (OK,), _structure_oracle, lambda _: 64),
+    Scan("gram-positive-definite-minors", (OK,), _gram_minors, lambda _: 8),
+    Check("product-conversion-identities", (OK,), _product_conversions),
+    Scan("trivolution-order-three", (OK,), _trivolution_order, lambda _: 8),
+    Check("trivolution-automorphism", (OK,), _trivolution_automorphism),
+    Build((OK,), _trivolution_table),
+)
+suite_identities = _suite(IDENTITY_ROWS)
 
 
-def _product_conversion_report(trials, seed):
-    def check(rng, i):
-        x, y = random_vec(rng), random_vec(rng)
-        if not product_conversion_crosscheck(x, y):
-            return {"x": x.to_json(), "y": y.to_json()}
-        return None
+# -- plane axioms (arg: the plane) ----------------------------------------------
 
-    return _pass_report("product-conversion-identities", AlgebraKind.OKUBO, seed, trials, check)
-
-
-def suite_identities(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
-    for k in resolve_kinds(kind):
-        reports.append(_composition_report(k, trials, seed))
-        reports.append(_symmetric_composition_report(k, trials, seed))
-        reports.append(_flexibility_report(k, trials, seed))
-        reports.append(theorems.moufang_failure_witness(k, trials=trials, seed=seed))
-        reports.append(_division_report(k, trials, seed))
-        reports.append(_positivity_report(k, trials, seed))
-        if k is not AlgebraKind.OCTONION:
-            reports.append(_norm_associative_report(k, trials, seed))
-        reports.append(_unit_report(k, trials, seed))
-        if k is AlgebraKind.OKUBO:
-            reports.append(_structure_oracle_report(seed))
-            reports.append(_gram_report(seed))
-            reports.append(_product_conversion_report(trials, seed))
-            reports.extend(_tau_reports(trials, seed))
-    return reports
-
-
-# -- plane axioms -------------------------------------------------------------
-
-def _affine_axioms_report(plane: Plane, trials, seed):
-    def check(rng, i):
-        p, q = random_affine_point(rng), random_affine_point(rng)
-        if p != q:
-            l = plane.join(p, q)
-            if not (plane.incident(p, l) and plane.incident(q, l)):
-                return {"case": "join", "p": p.to_json(), "q": q.to_json()}
-        l1 = FiniteLine(random_vec(rng), random_vec(rng))
-        l2 = FiniteLine(random_vec(rng), random_vec(rng))
-        if l1.s != l2.s:
-            x = plane.meet(l1, l2)
-            if not (plane.incident(x, l1) and plane.incident(x, l2)):
-                return {"case": "meet", "l1": l1.to_json(), "l2": l2.to_json()}
-        m = FiniteLine(random_vec(rng), random_vec(rng))
-        p = random_affine_point(rng)
-        if not plane.incident(p, m):
-            par = plane.parallel_through(m, p)
-            if not plane.incident(p, par):
-                return {"case": "parallel-through", "p": p.to_json()}
-            if not isinstance(plane.meet(m, par), SlopePoint):
-                return {"case": "parallel-disjoint", "p": p.to_json()}
-            sample = AffinePoint(random_vec(rng), Vec8.zero())
-            on_m = AffinePoint(sample.x, plane.mul(m.s, sample.x) + m.t)
-            if plane.incident(on_m, par):
-                return {"case": "parallel-shares-point", "x": sample.x.to_json()}
-        return None
-
-    return _pass_report("affine-axioms", plane.kind, seed, trials, check)
+def _affine_axioms(plane, rng):
+    p, q = random_affine_point(rng), random_affine_point(rng)
+    if p != q:
+        l = plane.join(p, q)
+        if not (plane.incident(p, l) and plane.incident(q, l)):
+            return {"case": "join", "p": p.to_json(), "q": q.to_json()}
+    l1 = FiniteLine(random_vec(rng), random_vec(rng))
+    l2 = FiniteLine(random_vec(rng), random_vec(rng))
+    if l1.s != l2.s:
+        x = plane.meet(l1, l2)
+        if not (plane.incident(x, l1) and plane.incident(x, l2)):
+            return {"case": "meet", "l1": l1.to_json(), "l2": l2.to_json()}
+    m = FiniteLine(random_vec(rng), random_vec(rng))
+    p = random_affine_point(rng)
+    if not plane.incident(p, m):
+        par = plane.parallel_through(m, p)
+        if not plane.incident(p, par):
+            return {"case": "parallel-through", "p": p.to_json()}
+        if not isinstance(plane.meet(m, par), SlopePoint):
+            return {"case": "parallel-disjoint", "p": p.to_json()}
+        sample = AffinePoint(random_vec(rng), Vec8.zero())
+        on_m = AffinePoint(sample.x, plane.mul(m.s, sample.x) + m.t)
+        if plane.incident(on_m, par):
+            return {"case": "parallel-shares-point", "x": sample.x.to_json()}
+    return None
 
 
-def _projective_totality_report(plane: Plane, trials, seed):
-    def check(rng, i):
-        p, q = random_point(plane, rng), random_point(plane, rng)
-        if p != q:
-            l = plane.join(p, q)
-            if not (plane.incident(p, l) and plane.incident(q, l)):
-                return {"case": "join", "p": p.to_json(), "q": q.to_json()}
-        l1, l2 = random_line(plane, rng), random_line(plane, rng)
-        if l1 != l2:
-            x = plane.meet(l1, l2)
-            if not (plane.incident(x, l1) and plane.incident(x, l2)):
-                return {"case": "meet", "l1": l1.to_json(), "l2": l2.to_json()}
-        return None
-
-    return _pass_report("projective-join-meet-total", plane.kind, seed, trials, check)
+def _projective_totality(plane, rng):
+    p, q = random_point(rng), random_point(rng)
+    if p != q:
+        l = plane.join(p, q)
+        if not (plane.incident(p, l) and plane.incident(q, l)):
+            return {"case": "join", "p": p.to_json(), "q": q.to_json()}
+    l1, l2 = random_line(rng), random_line(rng)
+    if l1 != l2:
+        x = plane.meet(l1, l2)
+        if not (plane.incident(x, l1) and plane.incident(x, l2)):
+            return {"case": "meet", "l1": l1.to_json(), "l2": l2.to_json()}
+    return None
 
 
-def _quadrangle_report(plane: Plane, seed):
+def _quadrangle(plane, n, seed):
     zero = Vec8.zero()
-    quad = [
-        AffinePoint(zero, zero),
-        AffinePoint(E, E),
-        SlopePoint(zero),
-        INFINITY_POINT,
-    ]
-    failures = []
-    with stopwatch() as elapsed:
-        lines = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                lines.append(plane.join(quad[i], quad[j]))
-        for l in lines:
-            members = [p for p in quad if plane.incident(p, l)]
-            if len(members) > 2:
-                failures.append({"line": l.to_json(), "on_line": len(members)})
-    return TheoremReport(
-        name="quadrangle-no-three-collinear", kind=plane.kind.value, seed=seed,
-        trials=6, mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
-    )
+    quad = (AffinePoint(zero, zero), AffinePoint(E, E), SlopePoint(zero), INFINITY_POINT)
+    lines = [plane.join(p, q) for p, q in combinations(quad, 2)]
+    for l in lines:
+        members = [p for p in quad if plane.incident(p, l)]
+        if len(members) > 2:
+            yield {"line": l.to_json(), "on_line": len(members)}
 
 
-def suite_plane_axioms(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
-    for k in resolve_kinds(kind):
-        plane = PLANES[k]
-        reports.append(_affine_axioms_report(plane, trials, seed))
-        reports.append(_projective_totality_report(plane, trials, seed))
-        reports.append(_quadrangle_report(plane, seed))
-        reports.append(theorems.collinearity_witness(plane, trials=max(trials, 10), seed=seed))
-    return reports
+PLANE_AXIOM_ROWS = (
+    Check("affine-axioms", ALL, _affine_axioms),
+    Check("projective-join-meet-total", ALL, _projective_totality),
+    Scan("quadrangle-no-three-collinear", ALL, _quadrangle, lambda _: 6),
+    Build(ALL, lambda plane, trials, seed: theorems.collinearity_witness(
+        plane, trials=max(trials, 10), seed=seed)),
+)
+suite_plane_axioms = _suite(PLANE_AXIOM_ROWS, PLANES.__getitem__)
 
 
-# -- veronese -----------------------------------------------------------------
+# -- veronese (arg: the plane) ----------------------------------------------------
 
-def _veronese_image_report(plane: Plane, trials, seed):
-    def check(rng, i):
-        p = random_point(plane, rng)
-        if not plane.is_veronese(plane.point_to_veronese(p)):
-            return {"point": p.to_json()}
-        l = random_line(plane, rng)
-        if not plane.is_veronese(plane.line_to_veronese(l)):
-            return {"line": l.to_json()}
-        return None
-
-    return _pass_report("veronese-images-satisfy-conditions", plane.kind, seed, trials, check)
+def _veronese_images(plane, rng):
+    p = random_point(rng)
+    if not plane.is_veronese(plane.point_to_veronese(p)):
+        return {"point": p.to_json()}
+    l = random_line(rng)
+    if not plane.is_veronese(plane.line_to_veronese(l)):
+        return {"line": l.to_json()}
+    return None
 
 
-def _beta_incidence_report(plane: Plane, trials, seed):
-    def check(rng, i):
-        p, l = random_incident_pair(plane, rng)
-        if beta(plane.point_to_veronese(p), plane.line_to_veronese(l)):
-            return {"case": "incident-nonzero", "point": p.to_json(), "line": l.to_json()}
-        q, m = random_non_incident_pair(plane, rng)
-        if not beta(plane.point_to_veronese(q), plane.line_to_veronese(m)):
-            return {"case": "non-incident-zero", "point": q.to_json(), "line": m.to_json()}
-        return None
-
-    return _pass_report("beta-detects-incidence", plane.kind, seed, trials, check)
+def _beta_incidence(plane, rng):
+    p, l = random_incident_pair(plane, rng)
+    if beta(plane.point_to_veronese(p), plane.line_to_veronese(l)):
+        return {"case": "incident-nonzero", "point": p.to_json(), "line": l.to_json()}
+    q, m = random_non_incident_pair(plane, rng)
+    if not beta(plane.point_to_veronese(q), plane.line_to_veronese(m)):
+        return {"case": "non-incident-zero", "point": q.to_json(), "line": m.to_json()}
+    return None
 
 
-def _normalization_report(plane: Plane, trials, seed):
-    one = norm(E)  # exact 1
-
-    def check(rng, i):
-        p = random_point(plane, rng)
-        v = plane.point_to_veronese(p)
-        w, scaled = plane.normalize_veronese(v)
-        if not scaled:
-            return {"case": "zero-lambda-sum", "point": p.to_json()}
-        if w.l1 + w.l2 + w.l3 != one:
-            return {"case": "sum-not-one", "point": p.to_json()}
-        if not plane.is_veronese(w):
-            return {"case": "left-veronese-set", "point": p.to_json()}
-        return None
-
-    return _pass_report("veronese-normalization", plane.kind, seed, trials, check)
+def _normalization(plane, rng):
+    p = random_point(rng)
+    w, scaled = plane.normalize_veronese(plane.point_to_veronese(p))
+    if not scaled:
+        return {"case": "zero-lambda-sum", "point": p.to_json()}
+    if w.l1 + w.l2 + w.l3 != QS_ONE:
+        return {"case": "sum-not-one", "point": p.to_json()}
+    if not plane.is_veronese(w):
+        return {"case": "left-veronese-set", "point": p.to_json()}
+    return None
 
 
-def suite_veronese(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
-    for k in resolve_kinds(kind):
-        plane = PLANES[k]
-        reports.append(_veronese_image_report(plane, trials, seed))
-        reports.append(_beta_incidence_report(plane, trials, seed))
-        reports.append(_normalization_report(plane, trials, seed))
-    return reports
+VERONESE_ROWS = (
+    Check("veronese-images-satisfy-conditions", ALL, _veronese_images),
+    Check("beta-detects-incidence", ALL, _beta_incidence),
+    Check("veronese-normalization", ALL, _normalization),
+)
+suite_veronese = _suite(VERONESE_ROWS, PLANES.__getitem__)
 
 
-# -- collineations ------------------------------------------------------------
+# -- collineations (arg: the kind) --------------------------------------------------
 
-def _identity_spot_report(name, coll, plane, trials, seed):
-    def check(rng, i):
-        p = random_point(plane, rng)
+def _incidence(kinds, make) -> Build:
+    """Row: ``make(kind)`` preserves incidence both ways."""
+    return Build(kinds, lambda kind, trials, seed: preserves_incidence(make(kind), trials, seed))
+
+
+def _fixes(make):
+    """Check that ``make(kind)`` fixes a random point and a random line."""
+
+    def check(kind, rng):
+        coll = make(kind)
+        p = random_point(rng)
         if coll.apply_point(p) != p:
             return {"point": p.to_json()}
-        l = random_line(plane, rng)
+        l = random_line(rng)
         if coll.apply_line(l) != l:
             return {"line": l.to_json()}
         return None
 
-    return _pass_report(name, plane.kind, seed, trials, check)
+    return check
 
 
-def _swap_witness_report(trials, seed):
-    plane = PLANES[AlgebraKind.OKUBO]
-    report = TheoremReport(
-        name="coordinate-swap-not-collineation", kind=plane.kind.value,
-        seed=seed, trials=trials, mode="expect-witness",
-    )
-    with stopwatch() as elapsed:
-        for i in range(trials):
-            rng = trial_rng(seed, i)
-            l = FiniteLine(random_nonzero_vec(rng), random_vec(rng))
-            pts = []
-            for _ in range(3):
-                x = random_vec(rng)
-                pts.append(AffinePoint(x, plane.mul(l.s, x) + l.t))
-            if len({p.x for p in pts}) < 3:
-                continue
-            swapped = [AffinePoint(p.y, p.x) for p in pts]
-            if len(set(swapped)) < 3:
-                continue
-            image_line = plane.join(swapped[0], swapped[1])
-            if not plane.incident(swapped[2], image_line):
-                report.witnesses.append(
-                    {
-                        "line": l.to_json(),
-                        "points": [p.to_json() for p in pts],
-                        "swapped": [p.to_json() for p in swapped],
-                    }
-                )
-                break
-    report.elapsed_ms = elapsed()
-    report.require_witness("collinear triple with non-collinear swapped images")
-    return report
+def _fixed_elements(kind, rng):
+    a, b = random_vec(rng), random_vec(rng)
+    tr = Translation(kind, a, b)
+    s = SlopePoint(random_vec(rng))
+    if tr.apply_point(s) != s or tr.apply_point(INFINITY_POINT) != INFINITY_POINT:
+        return {"case": "translation-axis", "a": a.to_json(), "b": b.to_json()}
+    sh = Shear(kind, a)
+    axis_point = AffinePoint(Vec8.zero(), random_vec(rng))
+    if sh.apply_point(axis_point) != axis_point:
+        return {"case": "shear-axis", "a": a.to_json()}
+    vertical = VerticalLine(random_vec(rng))
+    if sh.apply_line(vertical) != vertical:
+        return {"case": "shear-vertical-invariant", "a": a.to_json()}
+    return None
 
 
-def _transported_reflection_report(trials, seed):
-    def check(rng, i):
-        p = random_affine_point(rng)
-        closed = transported_reflection_closed_form(p)
-        via_composite = transported_reflection(p)
-        if closed != via_composite:
-            return {"point": p.to_json(), "case": "paths-disagree"}
-        if transported_reflection(via_composite) != p:
-            return {"point": p.to_json(), "case": "not-involution"}
-        return None
-
-    return _pass_report(
-        "transported-reflection-closed-form", AlgebraKind.OKUBO, seed, trials, check
-    )
-
-
-def _fixed_elements_report(kind, trials, seed):
+def _swap_breaks_collinearity(kind, rng):
     plane = PLANES[kind]
-
-    def check(rng, i):
-        a, b = random_vec(rng), random_vec(rng)
-        tr = Translation(kind, a, b)
-        s = SlopePoint(random_vec(rng))
-        if tr.apply_point(s) != s or tr.apply_point(INFINITY_POINT) != INFINITY_POINT:
-            return {"case": "translation-axis", "a": a.to_json(), "b": b.to_json()}
-        sh = Shear(kind, a)
-        axis_point = AffinePoint(Vec8.zero(), random_vec(rng))
-        if sh.apply_point(axis_point) != axis_point:
-            return {"case": "shear-axis", "a": a.to_json()}
-        vertical = random_vec(rng)
-        from .plane import VerticalLine
-
-        if sh.apply_line(VerticalLine(vertical)) != VerticalLine(vertical):
-            return {"case": "shear-vertical-invariant", "a": a.to_json()}
+    l = FiniteLine(random_nonzero_vec(rng), random_vec(rng))
+    pts = [random_affine_point_on(plane, l, rng) for _ in range(3)]
+    swapped = [AffinePoint(p.y, p.x) for p in pts]
+    if len({p.x for p in pts}) < 3 or len(set(swapped)) < 3:
         return None
+    if plane.incident(swapped[2], plane.join(swapped[0], swapped[1])):
+        return None
+    return {
+        "line": l.to_json(),
+        "points": [p.to_json() for p in pts],
+        "swapped": [p.to_json() for p in swapped],
+    }
 
-    return _pass_report("elation-fixed-elements", kind, seed, trials, check)
+
+SWAP_WITNESS = Check(
+    "coordinate-swap-not-collineation", (OK,), _swap_breaks_collinearity,
+    lambda trials: max(trials, 10), "collinear triple with non-collinear swapped images",
+)
+
+
+def _transported_reflection(kind, rng):
+    p = random_affine_point(rng)
+    try:  # each call checks the closed form against Phi^-1 o swap o Phi
+        twice = transported_reflection(transported_reflection(p))
+    except PostconditionViolation:
+        return {"point": p.to_json(), "case": "paths-disagree"}
+    if twice != p:
+        return {"point": p.to_json(), "case": "not-involution"}
+    return None
 
 
 def suite_collineations(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
     rng = trial_rng(seed, 991)
     a, b = random_vec(rng), random_vec(rng)
-    for k in resolve_kinds(kind):
-        plane = PLANES[k]
-        reports.append(preserves_incidence(Translation(k, a, b), trials, seed))
-        reports.append(preserves_incidence(Shear(k, a), trials, seed))
-        reports.append(_fixed_elements_report(k, trials, seed))
-        reports.append(
-            _identity_spot_report(
-                "translation-inverse-composes-to-identity",
-                compose(Translation(k, a, b), Translation(k, -a, -b)),
-                plane, min(trials, 100), seed,
-            )
-        )
-        if k is not AlgebraKind.OCTONION:
-            t = Triality(k)
-            reports.append(preserves_incidence(t, trials, seed))
-            reports.append(
-                _identity_spot_report(
-                    "triality-cubed-is-identity", compose(t, t, t), plane,
-                    min(trials, 100), seed,
-                )
-            )
-        if k is AlgebraKind.OKUBO:
-            reports.append(preserves_incidence(Phi(), trials, seed))
-            reports.append(preserves_incidence(PPhi(), trials, seed))
-            reports.append(
-                _identity_spot_report(
-                    "phi-then-inverse-is-identity", compose(Phi(), PhiInv()), plane,
-                    min(trials, 500), seed,
-                )
-            )
-            reports.append(
-                _identity_spot_report(
-                    "pphi-then-inverse-is-identity", compose(PPhi(), PPhiInv()), plane,
-                    min(trials, 500), seed,
-                )
-            )
-            reports.append(_swap_witness_report(max(trials, 10), seed))
-            reports.append(_transported_reflection_report(trials, seed))
-        if k is AlgebraKind.OCTONION:
-            reports.append(preserves_incidence(OctReflection(), trials, seed))
-            reports.append(
-                _identity_spot_report(
-                    "octonion-reflection-involution",
-                    compose(OctReflection(), OctReflection()),
-                    plane, min(trials, 100), seed,
-                )
-            )
-    return reports
+    rows = (
+        _incidence(ALL, lambda k: Translation(k, a, b)),
+        _incidence(ALL, lambda k: Shear(k, a)),
+        Check("elation-fixed-elements", ALL, _fixed_elements),
+        Check("translation-inverse-composes-to-identity", ALL,
+              _fixes(lambda k: compose(Translation(k, a, b), Translation(k, -a, -b))), _upto(100)),
+        _incidence(SYMMETRIC, Triality),
+        Check("triality-cubed-is-identity", SYMMETRIC,
+              _fixes(lambda k: compose(Triality(k), Triality(k), Triality(k))), _upto(100)),
+        _incidence((OK,), lambda k: PHI),
+        _incidence((OK,), lambda k: PPHI),
+        Check("phi-then-inverse-is-identity", (OK,),
+              _fixes(lambda k: compose(PHI, PHI_INV)), _upto(500)),
+        Check("pphi-then-inverse-is-identity", (OK,),
+              _fixes(lambda k: compose(PPHI, PPHI_INV)), _upto(500)),
+        SWAP_WITNESS,
+        Check("transported-reflection-closed-form", (OK,), _transported_reflection),
+        _incidence((OC,), lambda k: OctReflection()),
+        Check("octonion-reflection-involution", (OC,),
+              _fixes(lambda k: compose(OctReflection(), OctReflection())), _upto(100)),
+    )
+    return _suite(rows)(kind, trials, seed)
 
 
 def suite_isometry(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
+    """Maps outer, unlike the other suites: every translation comes first."""
     kinds = resolve_kinds(kind)
     rng = trial_rng(seed, 992)
     a, b = random_vec(rng), random_vec(rng)
-    for k in kinds:
-        reports.append(is_isometry(Translation(k, a, b), trials, seed))
-    if AlgebraKind.OKUBO in kinds:
-        reports.append(is_isometry(Phi(), trials, seed))
-        reports.append(is_isometry(PPhi(), trials, seed))
-    if AlgebraKind.OCTONION in kinds:
-        reports.append(is_isometry(PhiInv(), trials, seed))
-    if AlgebraKind.PARA_OCTONION in kinds:
-        reports.append(is_isometry(PPhiInv(), trials, seed))
-    return reports
+    maps = [Translation(k, a, b) for k in kinds]
+    maps += [c for c in (PHI, PPHI, PHI_INV, PPHI_INV) if c.source in kinds]
+    return [is_isometry(c, trials, seed) for c in maps]
 
 
-# -- desargues ----------------------------------------------------------------
+# -- desargues (arg: the plane) -------------------------------------------------------
 
 LITTLE_DESARGUES_CONFIGS = 100
 FULL_DESARGUES_BUDGET = 1000
 
 
-def suite_desargues(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    """Little Desargues on min(trials, 100) built configurations per kind
-    (each configuration is itself ~15 exact joins/meets), plus the search for
-    a full-Desargues counterexample with the center off the axis."""
-    reports = []
-    configs = min(trials, LITTLE_DESARGUES_CONFIGS)
-    budget = min(max(trials, 10), FULL_DESARGUES_BUDGET)
-    for k in resolve_kinds(kind):
-        plane = PLANES[k]
-        failures = []
-        with stopwatch() as elapsed:
-            for i in range(configs):
-                cfg = theorems.little_desargues_build(plane, _cfg_seed(seed, i))
-                bad = theorems.config_incidences(plane, cfg)
-                if bad:
-                    failures.append({"config": cfg.to_json(), "broken": bad})
-                    continue
-                if not theorems.little_desargues_verify(plane, cfg):
-                    failures.append({"config": cfg.to_json(), "broken": ["l1 off axis"]})
-        reports.append(TheoremReport(
-            name="little-desargues", kind=k.value, seed=seed, trials=configs,
-            mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
-        ))
+def _little_desargues(plane, n, seed):
+    """n built configurations, each itself ~15 exact joins and meets, whose
+    last intersection must land on the axis."""
+    for i in range(n):
+        cfg = theorems.little_desargues_build(plane, _cfg_seed(seed, i))
+        bad = theorems.config_incidences(plane, cfg)
+        if bad:
+            yield {"config": cfg.to_json(), "broken": bad}
+        elif not theorems.little_desargues_verify(plane, cfg):
+            yield {"config": cfg.to_json(), "broken": ["l1 off axis"]}
 
-        witness_report = TheoremReport(
-            name="full-desargues-fails", kind=k.value, seed=seed, trials=budget,
-            mode="expect-witness",
-        )
-        with stopwatch() as elapsed:
-            witness = theorems.desargues_falsify(plane, seed, budget)
-            if witness is not None:
-                witness_report.witnesses.append({"config": witness.to_json()})
-        witness_report.elapsed_ms = elapsed()
-        witness_report.require_witness("perspective configuration with l1 off the axis")
-        reports.append(witness_report)
-    return reports
+
+def _full_desargues_fails(plane, n, seed):
+    """A full-Desargues counterexample, with the center off the axis."""
+    witness = theorems.desargues_falsify(plane, seed, n)
+    if witness is not None:
+        yield {"config": witness.to_json()}
+
+
+DESARGUES_ROWS = (
+    Scan("little-desargues", ALL, _little_desargues, _upto(LITTLE_DESARGUES_CONFIGS)),
+    Scan("full-desargues-fails", ALL, _full_desargues_fails,
+         lambda trials: min(max(trials, 10), FULL_DESARGUES_BUDGET),
+         "perspective configuration with l1 off the axis"),
+)
+suite_desargues = _suite(DESARGUES_ROWS, PLANES.__getitem__)
 
 
 def _cfg_seed(seed: int, index: int) -> int:
     return seed * 9_000_011 + index
 
 
-# -- ptr ----------------------------------------------------------------------
+# -- ptr (arg: the plane) ----------------------------------------------------------
 
-def suite_ptr(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
-    kinds = resolve_kinds(kind)
-
-    if AlgebraKind.OKUBO in kinds:
-        witness_report = TheoremReport(
-            name="ptr-nonlinearity", kind=AlgebraKind.OKUBO.value, seed=seed,
-            trials=64, mode="expect-witness",
-        )
-        with stopwatch() as elapsed:
-            s, x, lhs, rhs = theorems.ptr_nonlinearity_witness()
-            witness_report.witnesses.append(
-                {
-                    "s": s.to_json(), "x": x.to_json(),
-                    "theta": lhs.to_json(), "octonion_product": rhs.to_json(),
-                }
-            )
-        witness_report.elapsed_ms = elapsed()
-        reports.append(witness_report)
-
-        slope_report = TheoremReport(
-            name="ptr-unit-slope-is-not-identity", kind=AlgebraKind.OKUBO.value,
-            seed=seed, trials=8, mode="expect-witness",
-        )
-        with stopwatch() as elapsed:
-            for k in range(8):
-                x = Vec8.basis(k)
-                if theorems.ptr_product(E, x) != x:
-                    slope_report.witnesses.append(
-                        {"x": x.to_json(), "theta": theorems.ptr_product(E, x).to_json()}
-                    )
-                    break
-        slope_report.elapsed_ms = elapsed()
-        slope_report.require_witness("basis x with theta(e, x, 0) != x")
-        reports.append(slope_report)
-
-        def check_zero(rng, i):
-            x, t = random_vec(rng), random_vec(rng)
-            if theorems.ptr_theta(Vec8.zero(), x, t) != t:
-                return {"x": x.to_json(), "t": t.to_json()}
-            return None
-
-        reports.append(_pass_report("ptr-zero-slope-gives-offset",
-                                    AlgebraKind.OKUBO, seed, trials, check_zero))
-
-    if AlgebraKind.OCTONION in kinds:
-        oct_kind = AlgebraKind.OCTONION
-
-        def check_linear(rng, i):
-            s, x, t = random_vec(rng), random_vec(rng), random_vec(rng)
-            theta = mul(oct_kind, s, x) + t  # the octonionic plane PTR
-            if mul(oct_kind, E, x) + t != x + t:
-                return {"case": "unit-slope", "x": x.to_json()}
-            if theta != mul(oct_kind, s, x) + t:
-                return {"case": "linear-form"}
-            return None
-
-        reports.append(_pass_report("ptr-octonion-plane-linear",
-                                    oct_kind, seed, trials, check_linear))
-    return reports
+def _ptr_nonlinearity(plane, n, seed):
+    s, x, lhs, rhs = theorems.ptr_nonlinearity_witness()
+    yield {
+        "s": s.to_json(), "x": x.to_json(),
+        "theta": lhs.to_json(), "octonion_product": rhs.to_json(),
+    }
 
 
-# -- g2 -----------------------------------------------------------------------
+def _ptr_unit_slope(plane, n, seed):
+    for x in BASIS:
+        theta = theorems.ptr_product(E, x)
+        if theta != x:
+            yield {"x": x.to_json(), "theta": theta.to_json()}
 
-def suite_g2(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    from .collineation import g2_triple_check
 
-    okubo = AlgebraKind.OKUBO
-    ident = LinMap8.identity()
-    tau = LinMap8.trivolution()
-    reports = []
+def _ptr_zero_slope(plane, rng):
+    x, t = random_vec(rng), random_vec(rng)
+    if theorems.ptr_theta(Vec8.zero(), x, t) != t:
+        return {"x": x.to_json(), "t": t.to_json()}
+    return None
 
-    for name, triple in (
-        ("g2-triple-identity", (ident, ident, ident)),
-        ("g2-triple-trivolution", (tau, tau, tau)),
-    ):
-        with stopwatch() as elapsed:
-            ok = g2_triple_check(*triple, trials=trials, seed=seed)
-        reports.append(TheoremReport(
-            name=name, kind=okubo.value, seed=seed, trials=trials,
-            mode="expect-pass",
-            failures=[] if ok else [{"reason": "triple condition violated"}],
-            elapsed_ms=elapsed(),
-        ))
 
-    mixed = TheoremReport(
-        name="g2-triple-mixed-fails", kind=okubo.value, seed=seed,
-        trials=trials, mode="expect-witness",
-    )
-    with stopwatch() as elapsed:
+def _ptr_octonion_linear(plane, rng):
+    """The ternary ring read off ``plane`` is s.x + t with the octonion
+    product, and e is its unit slope; true exactly on the octonionic plane."""
+    s, x, t = random_vec(rng), random_vec(rng), random_vec(rng)
+    if mul(OC, E, x) + t != x + t:
+        return {"case": "unit-slope", "x": x.to_json()}
+    if plane.meet(FiniteLine(s, t), VerticalLine(x)).y != mul(OC, s, x) + t:
+        return {"case": "linear-form"}
+    return None
+
+
+PTR_ROWS = (
+    Scan("ptr-nonlinearity", (OK,), _ptr_nonlinearity, lambda _: 64,
+         "basis pair with theta(s, x, 0) != s.x"),
+    Scan("ptr-unit-slope-is-not-identity", (OK,), _ptr_unit_slope, lambda _: 8,
+         "basis x with theta(e, x, 0) != x"),
+    Check("ptr-zero-slope-gives-offset", (OK,), _ptr_zero_slope),
+    Check("ptr-octonion-plane-linear", (OC,), _ptr_octonion_linear),
+)
+suite_ptr = _suite(PTR_ROWS, PLANES.__getitem__)
+
+
+# -- g2 (the Okubo product, whatever --kind says) -------------------------------------
+
+def _g2_accepts(maps):
+    """Scan: g2_triple_check accepts the triple ``maps()``."""
+
+    def scan(kind, n, seed):
+        if not g2_triple_check(*maps(), trials=n, seed=seed):
+            yield {"reason": "triple condition violated"}
+
+    return scan
+
+
+def _g2_mixed_fails(kind, trials, seed):
+    ident, tau = LinMap8.identity(), LinMap8.trivolution()
+
+    def witnesses():
         for i in range(trials):
             rng = trial_rng(seed, i)
             x, s = random_vec(rng), random_vec(rng)
-            lhs = mul(okubo, s, x)  # B = id
-            rhs = mul(okubo, s, tau.apply(x))  # C(s) * A(x) with A = tau, C = id
-            if lhs != rhs:
-                mixed.witnesses.append({"s": s.to_json(), "x": x.to_json()})
-                break
-    mixed.elapsed_ms = elapsed()
-    mixed.require_witness("sample violating B(s*x) = C(s)*A(x) for (tau, id, id)")
+            # (A, B, C) = (tau, id, id): B(s*x) = s*x against C(s)*A(x) = s*tau(x)
+            if mul(kind, s, x) != mul(kind, s, tau.apply(x)):
+                yield {"s": s.to_json(), "x": x.to_json()}
+
+    report = witness_report(
+        "g2-triple-mixed-fails", kind, seed, trials, witnesses,
+        "sample violating B(s*x) = C(s)*A(x) for (tau, id, id)",
+    )
     if g2_triple_check(tau, ident, ident, trials=trials, seed=seed):
-        mixed.failures.append({"reason": "g2_triple_check accepted (tau, id, id)"})
-    reports.append(mixed)
-    return reports
+        report.failures.append({"reason": "g2_triple_check accepted (tau, id, id)"})
+    return report
+
+
+G2_ROWS = (
+    Scan("g2-triple-identity", (OK,), _g2_accepts(lambda: (LinMap8.identity(),) * 3)),
+    Scan("g2-triple-trivolution", (OK,), _g2_accepts(lambda: (LinMap8.trivolution(),) * 3)),
+    Build((OK,), _g2_mixed_fails),
+)
+suite_g2 = _suite(G2_ROWS, kinds=lambda kind: [OK])
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -771,11 +633,7 @@ SUITES = {
 
 
 def suite_all(kind: str, trials: int, seed: int) -> list[TheoremReport]:
-    reports = []
-    for name in ("identities", "plane-axioms", "veronese", "collineations",
-                 "isometry", "desargues", "ptr", "g2"):
-        reports.extend(SUITES[name](kind, trials, seed))
-    return reports
+    return [r for suite in SUITES.values() for r in suite(kind, trials, seed)]
 
 
 def dump_tables() -> dict:

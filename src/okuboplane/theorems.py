@@ -13,10 +13,12 @@ collinear, and the non-alternative products violate the Moufang identities.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import product
 from typing import Optional
 
 from .algebra import (
+    BASIS,
     AlgebraKind,
     E,
     Vec8,
@@ -35,8 +37,10 @@ from .plane import (
     Plane,
     line_from_json,
     point_from_json,
+    random_affine_point,
+    random_affine_point_on,
 )
-from .report import TheoremReport, stopwatch
+from .report import TheoremReport, pass_report, stopwatch, witness_report
 
 
 class DegenerateConfig(ValueError):
@@ -68,44 +72,17 @@ class DesarguesConfig:
     l1: Optional[PjPoint] = None
 
     def to_json(self) -> dict:
-        data = {
-            "center": self.center.to_json(),
-            "axis": self.axis.to_json(),
-            "a": self.a.to_json(),
-            "b": self.b.to_json(),
-            "c": self.c.to_json(),
-            "a1": self.a1.to_json(),
-            "b1": self.b1.to_json(),
-            "c1": self.c1.to_json(),
-            "l2": self.l2.to_json(),
-            "l3": self.l3.to_json(),
-        }
-        if self.l1 is not None:
-            data["l1"] = self.l1.to_json()
-        return data
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v.to_json() for name, v in values if v is not None}
 
     @staticmethod
     def from_json(data: dict) -> DesarguesConfig:
-        return DesarguesConfig(
-            center=point_from_json(data["center"]),
-            axis=line_from_json(data["axis"]),
-            a=point_from_json(data["a"]),
-            b=point_from_json(data["b"]),
-            c=point_from_json(data["c"]),
-            a1=point_from_json(data["a1"]),
-            b1=point_from_json(data["b1"]),
-            c1=point_from_json(data["c1"]),
-            l2=point_from_json(data["l2"]),
-            l3=point_from_json(data["l3"]),
-            l1=point_from_json(data["l1"]) if "l1" in data else None,
-        )
-
-
-def _affine_point_on(plane: Plane, l: PjLine, rng: random.Random) -> AffinePoint:
-    if isinstance(l, FiniteLine):
-        x = random_vec(rng)
-        return AffinePoint(x, plane.mul(l.s, x) + l.t)
-    return AffinePoint(l.c, random_vec(rng))  # vertical
+        """Inverse of to_json; ``axis`` is the one line, l1 may be absent."""
+        return DesarguesConfig(**{
+            f.name: (line_from_json if f.name == "axis" else point_from_json)(data[f.name])
+            for f in fields(DesarguesConfig)
+            if f.name in data
+        })
 
 
 def _draw(rng: random.Random, reject, make) -> PjPoint:
@@ -133,30 +110,20 @@ class _Retry(Exception):
 def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> DesarguesConfig:
     axis = FiniteLine(random_vec(rng), random_vec(rng))
     if center_on_axis:
-        center: PjPoint = _affine_point_on(plane, axis, rng)
+        center: PjPoint = random_affine_point_on(plane, axis, rng)
     else:
-        center = _draw(
-            rng,
-            lambda p: plane.incident(p, axis),
-            lambda r: AffinePoint(random_vec(r), random_vec(r)),
-        )
+        center = _draw(rng, lambda p: plane.incident(p, axis), random_affine_point)
 
-    a = _draw(
-        rng,
-        lambda p: plane.incident(p, axis) or p == center,
-        lambda r: AffinePoint(random_vec(r), random_vec(r)),
-    )
+    a = _draw(rng, lambda p: plane.incident(p, axis) or p == center, random_affine_point)
     line_ap = plane.join(a, center)
     a1 = _draw(
         rng,
         lambda p: p == a or p == center or plane.incident(p, axis),
-        lambda r: _affine_point_on(plane, line_ap, r),
+        lambda r: random_affine_point_on(plane, line_ap, r),
     )
 
     b = _draw(
-        rng,
-        lambda p: plane.incident(p, axis) or plane.incident(p, line_ap),
-        lambda r: AffinePoint(random_vec(r), random_vec(r)),
+        rng, lambda p: plane.incident(p, axis) or plane.incident(p, line_ap), random_affine_point
     )
     line_ab = plane.join(a, b)
     l3 = plane.meet(line_ab, axis)
@@ -176,7 +143,7 @@ def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> Desarg
             or plane.incident(p, line_bp)
             or plane.incident(p, line_ab)
         ),
-        lambda r: AffinePoint(random_vec(r), random_vec(r)),
+        random_affine_point,
     )
     line_ac = plane.join(a, c)
     l2 = plane.meet(line_ac, axis)
@@ -274,13 +241,10 @@ def ptr_sum(x: Vec8, t: Vec8) -> Vec8:
 def ptr_nonlinearity_witness() -> tuple[Vec8, Vec8, Vec8, Vec8]:
     """Basis pair (s, x) with theta(s, x, 0) != s . x (octonion product);
     returns (s, x, lhs, rhs).  The scan is guaranteed to find one."""
-    for i in range(8):
-        for j in range(8):
-            s, x = Vec8.basis(i), Vec8.basis(j)
-            lhs = ptr_product(s, x)
-            rhs = mul(AlgebraKind.OCTONION, s, x)
-            if lhs != rhs:
-                return s, x, lhs, rhs
+    for s, x in product(BASIS, repeat=2):
+        lhs, rhs = ptr_product(s, x), mul(AlgebraKind.OCTONION, s, x)
+        if lhs != rhs:
+            return s, x, lhs, rhs
     raise AssertionError("PTR is linear on the basis; products disagree nowhere")
 
 
@@ -291,32 +255,17 @@ def collinearity_witness(plane: Plane, trials: int = 100, seed: int = 0) -> Theo
     (x, x).  Octonion: verify (0,0), (x, x), (y, y) all sit on [e, 0]."""
     origin = AffinePoint(Vec8.zero(), Vec8.zero())
     if plane.kind is AlgebraKind.OCTONION:
-        line = FiniteLine(E, Vec8.zero())
-        failures = []
-        with stopwatch() as elapsed:
-            for i in range(trials):
-                rng = trial_rng(seed, i)
-                x = random_vec(rng)
-                if not plane.incident(AffinePoint(x, x), line):
-                    failures.append({"x": x.to_json()})
-        return TheoremReport(
-            name="diagonal-points-collinear",
-            kind=plane.kind.value,
-            seed=seed,
-            trials=trials,
-            mode="expect-pass",
-            failures=failures,
-            elapsed_ms=elapsed(),
-        )
+        diagonal = FiniteLine(E, Vec8.zero())
 
-    report = TheoremReport(
-        name="diagonal-points-not-collinear",
-        kind=plane.kind.value,
-        seed=seed,
-        trials=trials,
-        mode="expect-witness",
-    )
-    with stopwatch() as elapsed:
+        def failures():
+            for i in range(trials):
+                x = random_vec(trial_rng(seed, i))
+                if not plane.incident(AffinePoint(x, x), diagonal):
+                    yield {"x": x.to_json()}
+
+        return pass_report("diagonal-points-collinear", plane.kind, seed, trials, failures)
+
+    def witnesses():
         for i in range(trials):
             rng = trial_rng(seed, i)
             x = random_vec(rng) if i else E
@@ -326,13 +275,12 @@ def collinearity_witness(plane: Plane, trials: int = 100, seed: int = 0) -> Theo
                 continue
             line = plane.join(origin, px)
             if not plane.incident(py, line):
-                report.witnesses.append(
-                    {"x": x.to_json(), "y": y.to_json(), "line": line.to_json()}
-                )
-                break
-    report.elapsed_ms = elapsed()
-    report.require_witness("no non-collinear diagonal triple found")
-    return report
+                yield {"x": x.to_json(), "y": y.to_json(), "line": line.to_json()}
+
+    return witness_report(
+        "diagonal-points-not-collinear", plane.kind, seed, trials, witnesses,
+        "no non-collinear diagonal triple found",
+    )
 
 
 _MOUFANG_NAMES = ("Moufang1", "Moufang2", "Moufang3", "AlternativeLeft", "AlternativeRight")
@@ -345,25 +293,16 @@ def moufang_failure_witness(
     each alternativity law (basis scan).  Octonion: no violations expected on
     random triples."""
     if kind is AlgebraKind.OCTONION:
-        failures = []
-        with stopwatch() as elapsed:
+        def failures():
             for i in range(trials):
                 rng = trial_rng(seed, i)
                 x, y, z = random_vec(rng), random_vec(rng), random_vec(rng)
                 for name in _MOUFANG_NAMES:
                     if not check_identity(kind, name, x, y, z):
-                        failures.append(
-                            {"identity": name, "x": x.to_json(), "y": y.to_json(), "z": z.to_json()}
-                        )
-        return TheoremReport(
-            name="moufang-identities-hold",
-            kind=kind.value,
-            seed=seed,
-            trials=trials,
-            mode="expect-pass",
-            failures=failures,
-            elapsed_ms=elapsed(),
-        )
+                        yield {"identity": name, "x": x.to_json(), "y": y.to_json(),
+                               "z": z.to_json()}
+
+        return pass_report("moufang-identities-hold", kind, seed, trials, failures)
 
     report = TheoremReport(
         name="moufang-identities-fail",
@@ -387,10 +326,7 @@ def moufang_failure_witness(
 
 
 def _basis_violation(kind: AlgebraKind, name: str) -> Optional[tuple[Vec8, Vec8, Vec8]]:
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                x, y, z = Vec8.basis(i), Vec8.basis(j), Vec8.basis(k)
-                if not check_identity(kind, name, x, y, z):
-                    return x, y, z
+    for x, y, z in product(BASIS, repeat=3):
+        if not check_identity(kind, name, x, y, z):
+            return x, y, z
     return None

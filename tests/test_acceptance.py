@@ -29,9 +29,9 @@ from okuboplane.algebra import (
 from okuboplane.collineation import (
     LinMap8,
     OctReflection,
-    Phi,
-    PhiInv,
-    PPhi,
+    PHI,
+    PHI_INV,
+    PPHI,
     compose,
     g2_triple_check,
     is_isometry,
@@ -43,7 +43,7 @@ from okuboplane.suites import (
     suite_all,
     suite_plane_axioms,
     suite_veronese,
-    _swap_witness_report,
+    SWAP_WITNESS,
 )
 from okuboplane import theorems
 
@@ -144,15 +144,15 @@ def test_c07_veronese_correspondence():
 
 
 def test_c08_isomorphisms_preserve_incidence_and_distance():
-    ok = preserves_incidence(Phi(), 500, 5).ok
-    ok &= preserves_incidence(PPhi(), 500, 5).ok
-    ok &= is_isometry(Phi(), 500, 5).ok
-    ok &= is_isometry(PPhi(), 500, 5).ok
-    round_trip = compose(Phi(), PhiInv())
+    ok = preserves_incidence(PHI, 500, 5).ok
+    ok &= preserves_incidence(PPHI, 500, 5).ok
+    ok &= is_isometry(PHI, 500, 5).ok
+    ok &= is_isometry(PPHI, 500, 5).ok
+    round_trip = compose(PHI, PHI_INV)
     plane = PLANES[AlgebraKind.OKUBO]
     for i in range(500):
         rng = trial_rng(5, i)
-        p = random_point(plane, rng)
+        p = random_point(rng)
         ok &= round_trip.apply_point(p) == p
     _criterion(8, "Phi/pPhi incidence both ways + exact isometry + Phi o Phi^-1 = id", ok)
 
@@ -173,9 +173,9 @@ def test_c09_little_desargues_and_full_desargues():
 
 
 def test_c10_swap_and_transported_reflection():
-    swap_report = _swap_witness_report(trials=50, seed=7)
+    swap_report = SWAP_WITNESS.report(AlgebraKind.OKUBO, AlgebraKind.OKUBO, 50, 7)
     ok = swap_report.ok and bool(swap_report.witnesses)
-    composite = compose(Phi(), OctReflection(), PhiInv())
+    composite = compose(PHI, OctReflection(), PHI_INV)
     for i in range(200):
         rng = trial_rng(7, i)
         p = random_affine_point(rng)

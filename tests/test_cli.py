@@ -92,6 +92,13 @@ def test_seed_env_var_default_with_flag_override(monkeypatch):
     assert args.seed == 9
 
 
+def test_bad_seed_env_var_exits_two(monkeypatch):
+    monkeypatch.setenv("OKUBOPLANE_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["g2", "--trials", "2"])
+    assert exc.value.code == 2
+
+
 def test_text_format_summary_line(capsys):
     rc, out = run_cli(["g2", "--trials", "10"], capsys)
     assert rc == 0

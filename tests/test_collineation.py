@@ -17,10 +17,10 @@ from okuboplane.collineation import (
     KindMismatch,
     LinMap8,
     OctReflection,
-    Phi,
-    PhiInv,
-    PPhi,
-    PPhiInv,
+    PHI,
+    PHI_INV,
+    PPHI,
+    PPHI_INV,
     Shear,
     Translation,
     Triality,
@@ -34,7 +34,6 @@ from okuboplane.collineation import (
 from okuboplane.plane import (
     INFINITY_POINT,
     LINE_AT_INFINITY,
-    OCTONION_PLANE,
     OKUBO_PLANE,
     PLANES,
     AffinePoint,
@@ -142,13 +141,13 @@ def test_triality_order_three_and_incidence(kind):
     cube = compose(t, t, t)
     for i in range(20):
         rng = trial_rng(7, i)
-        p = random_point(plane, rng)
+        p = random_point(rng)
         assert cube.apply_point(p) == p
-        l = random_line(plane, rng)
+        l = random_line(rng)
         assert cube.apply_line(l) == l
     assert preserves_incidence(t, 40, 7).ok
     inv = t.invert()
-    p = random_point(plane, trial_rng(7, 99))
+    p = random_point(trial_rng(7, 99))
     assert inv.apply_point(t.apply_point(p)) == p
 
 
@@ -160,7 +159,7 @@ def test_triality_rejects_octonion_plane():
 # -- cross-plane isomorphisms ------------------------------------------------------
 
 def test_phi_displayed_rows():
-    phi = Phi()
+    phi = PHI
     x, y, s, t, c = (random_vec(trial_rng(8, i)) for i in range(5))
     assert phi.apply_point(AffinePoint(x, y)) == AffinePoint(trivolution_sq(conjugate_oct(x)), y)
     assert phi.apply_point(SlopePoint(s)) == SlopePoint(trivolution(conjugate_oct(s)))
@@ -171,7 +170,7 @@ def test_phi_displayed_rows():
 
 
 def test_pphi_displayed_rows():
-    pphi = PPhi()
+    pphi = PPHI
     x, y, s, t, c = (random_vec(trial_rng(9, i)) for i in range(5))
     assert pphi.apply_point(AffinePoint(x, y)) == AffinePoint(trivolution_sq(x), y)
     assert pphi.apply_point(SlopePoint(s)) == SlopePoint(trivolution(s))
@@ -179,12 +178,12 @@ def test_pphi_displayed_rows():
     assert pphi.apply_line(VerticalLine(c)) == VerticalLine(trivolution_sq(c))
 
 
-@pytest.mark.parametrize("coll", [Phi(), PPhi(), PhiInv(), PPhiInv()])
+@pytest.mark.parametrize("coll", [PHI, PPHI, PHI_INV, PPHI_INV])
 def test_isomorphisms_preserve_incidence_both_ways(coll):
     assert preserves_incidence(coll, 60, 10).ok
 
 
-@pytest.mark.parametrize("coll", [Phi(), PPhi()])
+@pytest.mark.parametrize("coll", [PHI, PPHI])
 def test_isomorphisms_are_isometries(coll):
     assert is_isometry(coll, 40, 11).ok
 
@@ -200,14 +199,14 @@ def test_shear_is_generally_not_isometry():
 
 
 def test_phi_inverse_round_trips():
-    round_trip = compose(Phi(), PhiInv())
-    p_round = compose(PPhi(), PPhiInv())
+    round_trip = compose(PHI, PHI_INV)
+    p_round = compose(PPHI, PPHI_INV)
     for i in range(25):
         rng = trial_rng(14, i)
-        p = random_point(OKUBO_PLANE, rng)
+        p = random_point(rng)
         assert round_trip.apply_point(p) == p
         assert p_round.apply_point(p) == p
-        l = random_line(OKUBO_PLANE, rng)
+        l = random_line(rng)
         assert round_trip.apply_line(l) == l
         assert p_round.apply_line(l) == l
 
@@ -219,7 +218,7 @@ def test_compose_order_and_inverse_contract():
     chained = compose(t, s)
     for i in range(15):
         rng = trial_rng(15, i)
-        p = random_point(OKUBO_PLANE, rng)
+        p = random_point(rng)
         assert chained.apply_point(p) == s.apply_point(t.apply_point(p))
         undo = compose(chained, chained.invert())
         assert undo.apply_point(p) == p
@@ -227,10 +226,10 @@ def test_compose_order_and_inverse_contract():
 
 def test_composite_kind_validation():
     with pytest.raises(KindMismatch):
-        compose(Phi(), PPhi())  # octonion target cannot feed an okubo source
+        compose(PHI, PPHI)  # octonion target cannot feed an okubo source
     with pytest.raises(ValueError):
         Composite(())
-    chained = compose(Phi(), OctReflection(), PhiInv())
+    chained = compose(PHI, OctReflection(), PHI_INV)
     assert chained.source is OK and chained.target is OK
 
 
@@ -257,7 +256,7 @@ def test_reflection_is_involution_and_collineation():
     twice = compose(rho, rho)
     for i in range(20):
         rng = trial_rng(17, i)
-        p = random_point(OCTONION_PLANE, rng)
+        p = random_point(rng)
         assert twice.apply_point(p) == p
     assert preserves_incidence(rho, 50, 17).ok
 
@@ -278,7 +277,7 @@ def test_transported_reflection_fixes_diagonal_unit():
 
 
 def test_transported_reflection_closed_form_agrees_with_composite():
-    composite = compose(Phi(), OctReflection(), PhiInv())
+    composite = compose(PHI, OctReflection(), PHI_INV)
     for i in range(25):
         rng = trial_rng(18, i)
         p = random_affine_point(rng)
@@ -288,6 +287,18 @@ def test_transported_reflection_closed_form_agrees_with_composite():
             trivolution(conjugate_oct(p.y)), trivolution_sq(conjugate_oct(p.x))
         )
         assert transported_reflection(image) == p
+
+
+def test_transported_reflection_postcondition_raises(monkeypatch):
+    import okuboplane.collineation as collineation
+
+    monkeypatch.setattr(collineation, "transported_reflection_closed_form", lambda p: p)
+    with pytest.raises(collineation.PostconditionViolation):
+        transported_reflection(AffinePoint(E, I1))
+    # the collineations suite reports the mismatch as a failure
+    from okuboplane.suites import _transported_reflection
+
+    assert _transported_reflection(OK, trial_rng(0, 0))["case"] == "paths-disagree"
 
 
 def test_transported_reflection_closed_form_rejects_infinite():
@@ -335,17 +346,17 @@ def test_collineation_descriptor_round_trip():
         Shear(PA, a),
         Triality(OK),
         Triality(PA, inverse=True),
-        Phi(),
-        PhiInv(),
-        PPhi(),
-        PPhiInv(),
+        PHI,
+        PHI_INV,
+        PPHI,
+        PPHI_INV,
         OctReflection(),
-        compose(Phi(), OctReflection(), PhiInv()),
+        compose(PHI, OctReflection(), PHI_INV),
     ]
     for coll in samples:
         rebuilt = collineation_from_json(coll.to_json())
         assert rebuilt == coll
-        p = random_point(coll.source_plane, trial_rng(23, 1))
+        p = random_point(trial_rng(23, 1))
         assert rebuilt.apply_point(p) == coll.apply_point(p)
 
 

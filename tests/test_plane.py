@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import okuboplane
 
 from okuboplane.algebra import AlgebraKind, E, Vec8, mul, trial_rng, random_vec
 from okuboplane.plane import (
@@ -16,6 +22,8 @@ from okuboplane.plane import (
     FiniteLine,
     InfiniteElement,
     NotVeronese,
+    Plane,
+    PostconditionViolation,
     SlopePoint,
     VerticalLine,
     VeroneseVec,
@@ -54,6 +62,39 @@ def test_join_origin_with_infinity_is_y_axis():
 def test_join_diagonal_i1_through_origin():
     l = OKUBO_PLANE.join(AffinePoint(I1, I1), ORIGIN)
     assert l == FiniteLine(mul(AlgebraKind.OKUBO, I1, I1), ZERO)
+
+
+def test_join_postcondition_raises_named_exception(monkeypatch):
+    monkeypatch.setattr(Plane, "_join", lambda self, p, q: LINE_AT_INFINITY)
+    with pytest.raises(PostconditionViolation):
+        OKUBO_PLANE.join(ORIGIN, AffinePoint(E, E))
+
+
+def test_meet_postcondition_raises_named_exception(monkeypatch):
+    monkeypatch.setattr(Plane, "_meet", lambda self, l, m: INFINITY_POINT)
+    with pytest.raises(PostconditionViolation):
+        OKUBO_PLANE.meet(FiniteLine(ZERO, ZERO), FiniteLine(E, ZERO))
+
+
+def test_postconditions_survive_python_optimize():
+    code = (
+        "from okuboplane.algebra import E, Vec8\n"
+        "from okuboplane.plane import LINE_AT_INFINITY, OKUBO_PLANE, AffinePoint, Plane,"
+        " PostconditionViolation\n"
+        "Plane._join = lambda self, p, q: LINE_AT_INFINITY\n"
+        "origin = AffinePoint(Vec8.zero(), Vec8.zero())\n"
+        "try:\n"
+        "    OKUBO_PLANE.join(origin, AffinePoint(E, E))\n"
+        "except PostconditionViolation:\n"
+        "    print('debug', __debug__, 'raised')\n"
+    )
+    src = str(Path(okuboplane.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["debug", "False", "raised"]
 
 
 def test_join_equal_points_raises():
@@ -142,11 +183,11 @@ def test_projective_joins_meets_total(kind):
     plane = PLANES[kind]
     for i in range(25):
         rng = trial_rng(21, i)
-        p, r = random_point(plane, rng), random_point(plane, rng)
+        p, r = random_point(rng), random_point(rng)
         if p != r:
             l = plane.join(p, r)
             assert plane.incident(p, l) and plane.incident(r, l)
-        l1, l2 = random_line(plane, rng), random_line(plane, rng)
+        l1, l2 = random_line(rng), random_line(rng)
         if l1 != l2:
             x = plane.meet(l1, l2)
             assert plane.incident(x, l1) and plane.incident(x, l2)
@@ -199,8 +240,8 @@ def test_images_are_veronese(kind):
     plane = PLANES[kind]
     for i in range(30):
         rng = trial_rng(23, i)
-        assert plane.is_veronese(plane.point_to_veronese(random_point(plane, rng)))
-        assert plane.is_veronese(plane.line_to_veronese(random_line(plane, rng)))
+        assert plane.is_veronese(plane.point_to_veronese(random_point(rng)))
+        assert plane.is_veronese(plane.line_to_veronese(random_line(rng)))
 
 
 def test_non_veronese_vector_detected():
@@ -236,7 +277,7 @@ def test_beta_examples():
 def test_beta_is_twice_qform():
     for i in range(15):
         rng = trial_rng(25, i)
-        v = OKUBO_PLANE.point_to_veronese(random_point(OKUBO_PLANE, rng))
+        v = OKUBO_PLANE.point_to_veronese(random_point(rng))
         assert beta(v, v) == qform(v) + qform(v)
 
 
@@ -246,7 +287,7 @@ def test_qform_examples():
     assert qform(OKUBO_PLANE.point_to_veronese(ORIGIN)) == q(Fraction(1, 2))
     for i in range(15):
         rng = trial_rng(26, i)
-        v = OKUBO_PLANE.point_to_veronese(random_point(OKUBO_PLANE, rng))
+        v = OKUBO_PLANE.point_to_veronese(random_point(rng))
         assert qform(v).sign() > 0
 
 
@@ -284,9 +325,9 @@ def test_veronese_decode_round_trip(kind):
     plane = PLANES[kind]
     for i in range(20):
         rng = trial_rng(27, i)
-        p = random_point(plane, rng)
+        p = random_point(rng)
         assert plane.point_from_veronese(plane.point_to_veronese(p)) == p
-        l = random_line(plane, rng)
+        l = random_line(rng)
         assert plane.line_from_veronese(plane.line_to_veronese(l)) == l
 
 
@@ -311,9 +352,9 @@ def test_distance_rejects_infinite_elements():
 def test_point_line_json_roundtrip():
     for i in range(15):
         rng = trial_rng(28, i)
-        p = random_point(OKUBO_PLANE, rng)
+        p = random_point(rng)
         assert point_from_json(p.to_json()) == p
-        l = random_line(OKUBO_PLANE, rng)
+        l = random_line(rng)
         assert line_from_json(l.to_json()) == l
 
 

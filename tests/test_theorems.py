@@ -4,12 +4,14 @@ import pytest
 
 from okuboplane.algebra import AlgebraKind, E, Vec8, mul, trial_rng, random_vec
 from okuboplane.plane import (
+    OCTONION_PLANE,
     OKUBO_PLANE,
     PLANES,
     AffinePoint,
     FiniteLine,
 )
 from okuboplane.scalar import QSqrt3
+from okuboplane.suites import PTR_ROWS
 from okuboplane.theorems import (
     DegenerateConfig,
     DesarguesConfig,
@@ -124,6 +126,15 @@ def test_nonlinearity_witness():
     assert lhs == ptr_theta(s, x, ZERO)
     assert rhs == mul(AlgebraKind.OCTONION, s, x)
     assert lhs != rhs
+
+
+def test_octonion_linearity_check_can_fail():
+    row = next(r for r in PTR_ROWS if r.name == "ptr-octonion-plane-linear")
+    assert row.report(AlgebraKind.OCTONION, OCTONION_PLANE, 10, 0).ok
+    # the Okubo plane's ternary ring is s*x + t, not s.x + t
+    report = row.report(OK, OKUBO_PLANE, 10, 0)
+    assert report.failures
+    assert {f["case"] for f in report.failures} == {"linear-form"}
 
 
 def test_unit_slope_is_okubo_action_not_identity():
