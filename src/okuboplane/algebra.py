@@ -33,6 +33,7 @@ from .scalar import (
     CQ_ZERO,
     MU,
     MU_BAR,
+    QS_HALF,
     QS_ONE,
     QS_ZERO,
     CQSqrt3,
@@ -60,10 +61,6 @@ class AlgebraKind(Enum):
     OCTONION = "octonion"
     PARA_OCTONION = "para"
     OKUBO = "okubo"
-
-    @classmethod
-    def from_label(cls, label: str) -> AlgebraKind:
-        return cls(label)  # ValueError for an unknown label
 
 
 BASIS_NAMES = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
@@ -413,22 +410,9 @@ def _gram_sparse() -> tuple[tuple[tuple[int, QSqrt3], ...], ...]:
     return tuple(tuple((j, g[i][j]) for j in range(8) if g[i][j]) for i in range(8))
 
 
-_HALF = QSqrt3(Fraction(1, 2))
-
-
 def norm(x: Vec8) -> QSqrt3:
-    """n(x) = (1/2) sum_ij g_ij x_i x_j; agrees exactly with Tr(X^2)/6."""
-    gs = _gram_sparse()
-    total = QS_ZERO
-    xc = x.c
-    for i in range(8):
-        xi = xc[i]
-        if not xi:
-            continue
-        for j, gij in gs[i]:
-            if xc[j]:
-                total = total + xi * xc[j] * gij
-    return total * _HALF
+    """n(x) = <x,x>/2; agrees exactly with Tr(X^2)/6."""
+    return polar(x, x) * QS_HALF
 
 
 def polar(x: Vec8, y: Vec8) -> QSqrt3:

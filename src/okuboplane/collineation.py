@@ -339,14 +339,15 @@ def collineation_from_json(data: dict) -> Collineation:
     tag = data["type"]
     if tag == "translation":
         return Translation(
-            AlgebraKind.from_label(data["kind"]),
-            Vec8.from_json(data["a"]),
-            Vec8.from_json(data["b"]),
+            AlgebraKind(data["kind"]), Vec8.from_json(data["a"]), Vec8.from_json(data["b"])
         )
     if tag == "shear":
-        return Shear(AlgebraKind.from_label(data["kind"]), Vec8.from_json(data["a"]))
+        return Shear(AlgebraKind(data["kind"]), Vec8.from_json(data["a"]))
     if tag == "triality":
-        return Triality(AlgebraKind.from_label(data["kind"]), data.get("inverse", False))
+        inverse = data["inverse"]
+        if not isinstance(inverse, bool):
+            raise ValueError(f"triality inverse must be a bool, not {inverse!r}")
+        return Triality(AlgebraKind(data["kind"]), inverse)
     if tag in CHART_MAPS:
         return CHART_MAPS[tag]
     if tag == "octonion-reflection":

@@ -34,7 +34,7 @@ from .algebra import (
     solve_left,
     solve_right,
 )
-from .scalar import QS_ONE, QS_ZERO, QSqrt3, parse, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, parse, render
 
 
 class EqualPoints(ValueError):
@@ -204,14 +204,11 @@ def beta(v: VeroneseVec, w: VeroneseVec) -> QSqrt3:
     )
 
 
-_HALF = QSqrt3(1) / QSqrt3(2)
-
-
 def qform(v: VeroneseVec) -> QSqrt3:
     """q(v) = beta(v, v)/2 = n(x1)+n(x2)+n(x3) + (l1^2+l2^2+l3^2)/2."""
     return (
         norm(v.x1) + norm(v.x2) + norm(v.x3)
-        + (v.l1 * v.l1 + v.l2 * v.l2 + v.l3 * v.l3) * _HALF
+        + (v.l1 * v.l1 + v.l2 * v.l2 + v.l3 * v.l3) * QS_HALF
     )
 
 

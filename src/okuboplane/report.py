@@ -6,6 +6,8 @@ failures are counterexamples to the property) or expects to find an exact
 counterexample to a false statement (``expect-witness``, the found witness is
 recorded and *absence* of one within budget is logged as a failure).  Either
 way the invariant is the same: verdict is "pass" iff ``failures`` is empty.
+A ``PostconditionViolation`` raised while the outcomes are drawn ends the
+report with that error as a failure, never as a witness.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import AlgebraKind
+from .plane import PostconditionViolation
 
 # Produces a report's outcomes (None for a trial with nothing to record); it is
 # called inside the report's stopwatch, so a generator function times its work.
@@ -74,15 +77,30 @@ def stopwatch() -> Iterator[Callable[[], float]]:
     yield lambda: (time.perf_counter() - start) * 1000.0
 
 
+def _draw(outcomes: Outcomes, first: bool) -> tuple[list[dict], list[dict]]:
+    """The outcomes that are not None (only the first one if ``first``), and
+    the record of the broken postcondition that ended the draw, if any."""
+    found: list[dict] = []
+    try:
+        for outcome in outcomes():
+            if outcome is not None:
+                found.append(outcome)
+                if first:
+                    break
+    except PostconditionViolation as exc:
+        return found, [{"error": "PostconditionViolation", "detail": str(exc)}]
+    return found, []
+
+
 def pass_report(
     name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes
 ) -> TheoremReport:
     """expect-pass: every outcome that is not None is a counterexample."""
     with stopwatch() as elapsed:
-        failures = [f for f in outcomes() if f is not None]
+        failures, broken = _draw(outcomes, first=False)
     return TheoremReport(
         name=name, kind=kind.value, seed=seed, trials=trials,
-        mode="expect-pass", failures=failures, elapsed_ms=elapsed(),
+        mode="expect-pass", failures=failures + broken, elapsed_ms=elapsed(),
     )
 
 
@@ -92,11 +110,11 @@ def witness_report(
     """expect-witness: the first outcome that is not None is the witness; the
     scan stops there.  Finding none is a failure that says what is ``missing``."""
     with stopwatch() as elapsed:
-        witness = next((w for w in outcomes() if w is not None), None)
+        witnesses, broken = _draw(outcomes, first=True)
+    missed = [] if witnesses or broken else [{"reason": f"no witness found: {missing}"}]
     return TheoremReport(
         name=name, kind=kind.value, seed=seed, trials=trials, mode="expect-witness",
-        failures=[{"reason": f"no witness found: {missing}"}] if witness is None else [],
-        witnesses=[] if witness is None else [witness], elapsed_ms=elapsed(),
+        failures=broken + missed, witnesses=witnesses, elapsed_ms=elapsed(),
     )
 
 

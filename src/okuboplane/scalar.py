@@ -139,9 +139,6 @@ class QSqrt3:
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def sign(self) -> int:
         """Exact sign of the real embedding a + b*1.732..., in {-1, 0, 1}.
 
@@ -171,7 +168,6 @@ class QSqrt3:
 
 QS_ZERO = QSqrt3._raw(0, 0, 1)
 QS_ONE = QSqrt3._raw(1, 0, 1)
-QS_TWO = QSqrt3._raw(2, 0, 1)
 QS_HALF = QSqrt3._raw(1, 0, 2)
 SQRT3 = QSqrt3._raw(0, 1, 1)
 

@@ -65,7 +65,6 @@ from .plane import (
     FiniteLine,
     INFINITY_POINT,
     PLANES,
-    PostconditionViolation,
     SlopePoint,
     VerticalLine,
     beta,
@@ -76,7 +75,7 @@ from .plane import (
     random_non_incident_pair,
     random_point,
 )
-from .report import TheoremReport, pass_report, witness_report
+from .report import TheoremReport, pass_report, stopwatch, witness_report
 from .scalar import QS_ONE
 
 OK, PA, OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
@@ -87,7 +86,7 @@ SYMMETRIC = (OK, PA)
 def resolve_kinds(kind: str) -> list[AlgebraKind]:
     if kind == "all":
         return list(ALL)
-    return [AlgebraKind.from_label(kind)]
+    return [AlgebraKind(kind)]
 
 
 def _upto(cap: int) -> Callable[[int], int]:
@@ -166,6 +165,39 @@ def _symmetric_composition_fails(kind, n, seed):
     for x, y in product(BASIS, repeat=2):
         if not check_identity(kind, "SymmetricComposition", x, y, y):
             yield {"x": x.to_json(), "y": y.to_json()}
+
+
+MOUFANG_LAWS = ("Moufang1", "Moufang2", "Moufang3", "AlternativeLeft", "AlternativeRight")
+
+
+def _broken_law(name, x, y, z):
+    return {"identity": name, "x": x.to_json(), "y": y.to_json(), "z": z.to_json()}
+
+
+def _moufang_holds(kind, rng):
+    x, y, z = random_vec(rng), random_vec(rng), random_vec(rng)
+    name = next((n for n in MOUFANG_LAWS if not check_identity(kind, n, x, y, z)), None)
+    return None if name is None else _broken_law(name, x, y, z)
+
+
+def _moufang_fails(kind, trials, seed):
+    """A basis witness for each law: the one report with several witnesses."""
+    with stopwatch() as elapsed:
+        found = {
+            name: next((t for t in product(BASIS, repeat=3)
+                        if not check_identity(kind, name, *t)), None)
+            for name in MOUFANG_LAWS
+        }
+    return TheoremReport(
+        name="moufang-identities-fail", kind=kind.value, seed=seed, trials=trials,
+        mode="expect-witness", elapsed_ms=elapsed(),
+        failures=[{"reason": f"no witness found: {n}"} for n, t in found.items() if t is None],
+        witnesses=[_broken_law(n, *t) for n, t in found.items() if t is not None],
+    )
+
+
+MOUFANG_HOLDS = Check("moufang-identities-hold", (OC,), _moufang_holds)
+MOUFANG_FAILS = Build(SYMMETRIC, _moufang_fails)
 
 
 def _division(kind, rng):
@@ -263,7 +295,8 @@ IDENTITY_ROWS = (
     Scan("symmetric-composition-fails", (OC,), _symmetric_composition_fails,
          missing="octonion counterexample to (x.y).x = n(x) y"),
     Check("flexibility", ALL, _law("Flexible")),
-    Build(ALL, theorems.moufang_failure_witness),
+    MOUFANG_HOLDS,
+    MOUFANG_FAILS,
     Check("division-solutions", ALL, _division),
     Check("norm-positive-definite", ALL, _positive_norm),
     Check("norm-associativity", SYMMETRIC, _law("NormAssociative", 3)),
@@ -283,17 +316,14 @@ suite_identities = _suite(IDENTITY_ROWS)
 # -- plane axioms (arg: the plane) ----------------------------------------------
 
 def _affine_axioms(plane, rng):
+    # join and meet verify their own incidences
     p, q = random_affine_point(rng), random_affine_point(rng)
     if p != q:
-        l = plane.join(p, q)
-        if not (plane.incident(p, l) and plane.incident(q, l)):
-            return {"case": "join", "p": p.to_json(), "q": q.to_json()}
+        plane.join(p, q)
     l1 = FiniteLine(random_vec(rng), random_vec(rng))
     l2 = FiniteLine(random_vec(rng), random_vec(rng))
     if l1.s != l2.s:
-        x = plane.meet(l1, l2)
-        if not (plane.incident(x, l1) and plane.incident(x, l2)):
-            return {"case": "meet", "l1": l1.to_json(), "l2": l2.to_json()}
+        plane.meet(l1, l2)
     m = FiniteLine(random_vec(rng), random_vec(rng))
     p = random_affine_point(rng)
     if not plane.incident(p, m):
@@ -312,20 +342,18 @@ def _affine_axioms(plane, rng):
 def _projective_totality(plane, rng):
     p, q = random_point(rng), random_point(rng)
     if p != q:
-        l = plane.join(p, q)
-        if not (plane.incident(p, l) and plane.incident(q, l)):
-            return {"case": "join", "p": p.to_json(), "q": q.to_json()}
+        plane.join(p, q)
     l1, l2 = random_line(rng), random_line(rng)
     if l1 != l2:
-        x = plane.meet(l1, l2)
-        if not (plane.incident(x, l1) and plane.incident(x, l2)):
-            return {"case": "meet", "l1": l1.to_json(), "l2": l2.to_json()}
+        plane.meet(l1, l2)
     return None
 
 
+ORIGIN = AffinePoint(Vec8.zero(), Vec8.zero())
+
+
 def _quadrangle(plane, n, seed):
-    zero = Vec8.zero()
-    quad = (AffinePoint(zero, zero), AffinePoint(E, E), SlopePoint(zero), INFINITY_POINT)
+    quad = (ORIGIN, AffinePoint(E, E), SlopePoint(Vec8.zero()), INFINITY_POINT)
     lines = [plane.join(p, q) for p, q in combinations(quad, 2)]
     for l in lines:
         members = [p for p in quad if plane.incident(p, l)]
@@ -333,12 +361,43 @@ def _quadrangle(plane, n, seed):
             yield {"line": l.to_json(), "on_line": len(members)}
 
 
+def _diagonal_collinear(plane, rng):
+    """Octonions: (x, x) lies on [e, 0], the line through (0, 0) and (e, e)."""
+    x = random_vec(rng)
+    if not plane.incident(AffinePoint(x, x), FiniteLine(E, Vec8.zero())):
+        return {"x": x.to_json()}
+    return None
+
+
+def _diagonal_not_collinear(plane, n, seed):
+    """Symmetric products: (y, y) off the line through (0, 0) and (x, x); the
+    first trial probes (x, y) = (e, i1)."""
+    for i in range(n):
+        rng = trial_rng(seed, i)
+        x = random_vec(rng) if i else E
+        y = random_vec(rng) if i else Vec8.basis(1)
+        px, py = AffinePoint(x, x), AffinePoint(y, y)
+        if px == ORIGIN or py == ORIGIN or px == py:
+            continue
+        line = plane.join(ORIGIN, px)
+        if not plane.incident(py, line):
+            yield {"x": x.to_json(), "y": y.to_json(), "line": line.to_json()}
+
+
+DIAGONAL_COLLINEAR = Check(
+    "diagonal-points-collinear", (OC,), _diagonal_collinear, lambda trials: max(trials, 10)
+)
+DIAGONAL_NOT_COLLINEAR = Scan(
+    "diagonal-points-not-collinear", SYMMETRIC, _diagonal_not_collinear,
+    lambda trials: max(trials, 10), "no non-collinear diagonal triple found",
+)
+
 PLANE_AXIOM_ROWS = (
     Check("affine-axioms", ALL, _affine_axioms),
     Check("projective-join-meet-total", ALL, _projective_totality),
     Scan("quadrangle-no-three-collinear", ALL, _quadrangle, lambda _: 6),
-    Build(ALL, lambda plane, trials, seed: theorems.collinearity_witness(
-        plane, trials=max(trials, 10), seed=seed)),
+    DIAGONAL_COLLINEAR,
+    DIAGONAL_NOT_COLLINEAR,
 )
 suite_plane_axioms = _suite(PLANE_AXIOM_ROWS, PLANES.__getitem__)
 
@@ -448,13 +507,13 @@ SWAP_WITNESS = Check(
 
 def _transported_reflection(kind, rng):
     p = random_affine_point(rng)
-    try:  # each call checks the closed form against Phi^-1 o swap o Phi
-        twice = transported_reflection(transported_reflection(p))
-    except PostconditionViolation:
-        return {"point": p.to_json(), "case": "paths-disagree"}
-    if twice != p:
+    # each call checks the closed form against Phi^-1 o swap o Phi
+    if transported_reflection(transported_reflection(p)) != p:
         return {"point": p.to_json(), "case": "not-involution"}
     return None
+
+
+TRANSPORTED_REFLECTION = Check("transported-reflection-closed-form", (OK,), _transported_reflection)
 
 
 def suite_collineations(kind: str, trials: int, seed: int) -> list[TheoremReport]:
@@ -476,7 +535,7 @@ def suite_collineations(kind: str, trials: int, seed: int) -> list[TheoremReport
         Check("pphi-then-inverse-is-identity", (OK,),
               _fixes(lambda k: compose(PPHI, PPHI_INV)), _upto(500)),
         SWAP_WITNESS,
-        Check("transported-reflection-closed-form", (OK,), _transported_reflection),
+        TRANSPORTED_REFLECTION,
         _incidence((OC,), lambda k: OctReflection()),
         Check("octonion-reflection-involution", (OC,),
               _fixes(lambda k: compose(OctReflection(), OctReflection())), _upto(100)),
@@ -535,11 +594,13 @@ def _cfg_seed(seed: int, index: int) -> int:
 # -- ptr (arg: the plane) ----------------------------------------------------------
 
 def _ptr_nonlinearity(plane, n, seed):
-    s, x, lhs, rhs = theorems.ptr_nonlinearity_witness()
-    yield {
-        "s": s.to_json(), "x": x.to_json(),
-        "theta": lhs.to_json(), "octonion_product": rhs.to_json(),
-    }
+    found = theorems.ptr_nonlinearity_witness()
+    if found is not None:
+        s, x, lhs, rhs = found
+        yield {
+            "s": s.to_json(), "x": x.to_json(),
+            "theta": lhs.to_json(), "octonion_product": rhs.to_json(),
+        }
 
 
 def _ptr_unit_slope(plane, n, seed):

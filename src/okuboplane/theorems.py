@@ -4,10 +4,8 @@ Little Desargues configurations are built by the eight-step procedure (pick
 axis and center, grow two perspective triangles through joins and meets) and
 verified by checking that the last intersection point lands on the axis; the
 same construction with the center off the axis searches for an exact
-counterexample to the full Desargues theorem.  The remaining operations
-produce the witnesses that separate the three planes: the planar ternary ring
-of the Okubo plane is not linear, the diagonal points (x, x) are not
-collinear, and the non-alternative products violate the Moufang identities.
+counterexample to the full Desargues theorem.  The planar ternary ring of the
+Okubo plane, and the basis pair showing it is not linear, close the module.
 """
 
 from __future__ import annotations
@@ -17,21 +15,13 @@ from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Optional
 
-from .algebra import (
-    BASIS,
-    AlgebraKind,
-    E,
-    Vec8,
-    check_identity,
-    mul,
-    random_vec,
-    trial_rng,
-)
+from .algebra import BASIS, E, Vec8, random_vec, trial_rng
 from .plane import (
-    AffinePoint,
     EqualLines,
     EqualPoints,
     FiniteLine,
+    OCTONION_PLANE,
+    OKUBO_PLANE,
     PjLine,
     PjPoint,
     Plane,
@@ -40,7 +30,6 @@ from .plane import (
     random_affine_point,
     random_affine_point_on,
 )
-from .report import TheoremReport, pass_report, stopwatch, witness_report
 
 
 class DegenerateConfig(ValueError):
@@ -225,7 +214,7 @@ def ptr_theta(s: Vec8, x: Vec8, t: Vec8) -> Vec8:
     Coordinatisation relabels the basis identically (e <-> 1, ik <-> ik), so
     the operation is s*x + t with the Okubo product.
     """
-    return mul(AlgebraKind.OKUBO, s, x) + t
+    return OKUBO_PLANE.mul(s, x) + t
 
 
 def ptr_product(s: Vec8, x: Vec8) -> Vec8:
@@ -238,95 +227,11 @@ def ptr_sum(x: Vec8, t: Vec8) -> Vec8:
     return ptr_theta(E, x, t)
 
 
-def ptr_nonlinearity_witness() -> tuple[Vec8, Vec8, Vec8, Vec8]:
+def ptr_nonlinearity_witness() -> Optional[tuple[Vec8, Vec8, Vec8, Vec8]]:
     """Basis pair (s, x) with theta(s, x, 0) != s . x (octonion product);
-    returns (s, x, lhs, rhs).  The scan is guaranteed to find one."""
+    returns (s, x, lhs, rhs), or None if the products agree on the basis."""
     for s, x in product(BASIS, repeat=2):
-        lhs, rhs = ptr_product(s, x), mul(AlgebraKind.OCTONION, s, x)
+        lhs, rhs = ptr_product(s, x), OCTONION_PLANE.mul(s, x)
         if lhs != rhs:
             return s, x, lhs, rhs
-    raise AssertionError("PTR is linear on the basis; products disagree nowhere")
-
-
-# -- separation witnesses ----------------------------------------------------
-
-def collinearity_witness(plane: Plane, trials: int = 100, seed: int = 0) -> TheoremReport:
-    """Okubo/para: exhibit x, y with (y, y) off the line joining (0,0) and
-    (x, x).  Octonion: verify (0,0), (x, x), (y, y) all sit on [e, 0]."""
-    origin = AffinePoint(Vec8.zero(), Vec8.zero())
-    if plane.kind is AlgebraKind.OCTONION:
-        diagonal = FiniteLine(E, Vec8.zero())
-
-        def failures():
-            for i in range(trials):
-                x = random_vec(trial_rng(seed, i))
-                if not plane.incident(AffinePoint(x, x), diagonal):
-                    yield {"x": x.to_json()}
-
-        return pass_report("diagonal-points-collinear", plane.kind, seed, trials, failures)
-
-    def witnesses():
-        for i in range(trials):
-            rng = trial_rng(seed, i)
-            x = random_vec(rng) if i else E
-            y = random_vec(rng) if i else Vec8.basis(1)
-            px, py = AffinePoint(x, x), AffinePoint(y, y)
-            if px == origin or py == origin or px == py:
-                continue
-            line = plane.join(origin, px)
-            if not plane.incident(py, line):
-                yield {"x": x.to_json(), "y": y.to_json(), "line": line.to_json()}
-
-    return witness_report(
-        "diagonal-points-not-collinear", plane.kind, seed, trials, witnesses,
-        "no non-collinear diagonal triple found",
-    )
-
-
-_MOUFANG_NAMES = ("Moufang1", "Moufang2", "Moufang3", "AlternativeLeft", "AlternativeRight")
-
-
-def moufang_failure_witness(
-    kind: AlgebraKind, trials: int = 500, seed: int = 0
-) -> TheoremReport:
-    """Okubo/para: an exact violating triple for each Moufang identity and
-    each alternativity law (basis scan).  Octonion: no violations expected on
-    random triples."""
-    if kind is AlgebraKind.OCTONION:
-        def failures():
-            for i in range(trials):
-                rng = trial_rng(seed, i)
-                x, y, z = random_vec(rng), random_vec(rng), random_vec(rng)
-                for name in _MOUFANG_NAMES:
-                    if not check_identity(kind, name, x, y, z):
-                        yield {"identity": name, "x": x.to_json(), "y": y.to_json(),
-                               "z": z.to_json()}
-
-        return pass_report("moufang-identities-hold", kind, seed, trials, failures)
-
-    report = TheoremReport(
-        name="moufang-identities-fail",
-        kind=kind.value,
-        seed=seed,
-        trials=trials,
-        mode="expect-witness",
-    )
-    with stopwatch() as elapsed:
-        for name in _MOUFANG_NAMES:
-            witness = _basis_violation(kind, name)
-            if witness is None:
-                report.failures.append({"reason": f"no witness found: {name}"})
-            else:
-                x, y, z = witness
-                report.witnesses.append(
-                    {"identity": name, "x": x.to_json(), "y": y.to_json(), "z": z.to_json()}
-                )
-    report.elapsed_ms = elapsed()
-    return report
-
-
-def _basis_violation(kind: AlgebraKind, name: str) -> Optional[tuple[Vec8, Vec8, Vec8]]:
-    for x, y, z in product(BASIS, repeat=3):
-        if not check_identity(kind, name, x, y, z):
-            return x, y, z
     return None

@@ -43,6 +43,8 @@ from okuboplane.suites import (
     suite_all,
     suite_plane_axioms,
     suite_veronese,
+    MOUFANG_FAILS,
+    MOUFANG_HOLDS,
     SWAP_WITNESS,
 )
 from okuboplane import theorems
@@ -84,9 +86,9 @@ def test_c02_symmetric_composition_with_octonion_counterexample():
 
 
 def test_c03_moufang_and_flexibility():
-    ok = theorems.moufang_failure_witness(AlgebraKind.OCTONION, trials=500, seed=2).ok
+    ok = MOUFANG_HOLDS.report(AlgebraKind.OCTONION, AlgebraKind.OCTONION, 500, 2).ok
     for kind in (AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION):
-        report = theorems.moufang_failure_witness(kind, trials=500, seed=2)
+        report = MOUFANG_FAILS.report(kind, kind, 500, 2)
         ok &= report.ok
         found = {w["identity"] for w in report.witnesses}
         ok &= {"Moufang1", "Moufang2", "Moufang3"} <= found

@@ -421,8 +421,8 @@ def test_vec_repr_names_basis():
 
 
 def test_kind_labels():
-    assert AlgebraKind.from_label("okubo") is OK
-    assert AlgebraKind.from_label("para") is PA
-    assert AlgebraKind.from_label("octonion") is OC
+    assert AlgebraKind("okubo") is OK
+    assert AlgebraKind("para") is PA
+    assert AlgebraKind("octonion") is OC
     with pytest.raises(ValueError):
-        AlgebraKind.from_label("sedenion")
+        AlgebraKind("sedenion")

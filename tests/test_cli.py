@@ -104,3 +104,35 @@ def test_text_format_summary_line(capsys):
     assert rc == 0
     assert out.rstrip().endswith("reports passed")
     assert "[1 witness(es) found]" in out
+
+
+def _failed(out):
+    return {r["name"]: r["failures"] for r in json.loads(out) if r["verdict"] == "fail"}
+
+
+def test_broken_join_fails_reports_instead_of_raising(monkeypatch, capsys):
+    from okuboplane.plane import LINE_AT_INFINITY, Plane
+
+    # a "line" that misses every affine point it should join
+    monkeypatch.setattr(Plane, "_join", lambda self, p, q: LINE_AT_INFINITY)
+    rc, out = run_cli(
+        ["plane-axioms", "--kind", "okubo", "--trials", "2", "--format", "json"], capsys
+    )
+    assert rc == 1
+    failed = _failed(out)
+    for name in ("affine-axioms", "diagonal-points-not-collinear"):
+        assert [f["error"] for f in failed[name]] == ["PostconditionViolation"]
+        assert failed[name][0]["detail"].startswith("join of ")
+
+
+def test_missing_ptr_witness_fails_report(monkeypatch, capsys):
+    from okuboplane import theorems
+    from okuboplane.algebra import AlgebraKind, mul
+
+    # a ternary ring that is linear after all leaves the basis scan empty
+    monkeypatch.setattr(theorems, "ptr_product", lambda s, x: mul(AlgebraKind.OCTONION, s, x))
+    rc, out = run_cli(["ptr", "--kind", "okubo", "--trials", "2", "--format", "json"], capsys)
+    assert rc == 1
+    assert _failed(out)["ptr-nonlinearity"] == [
+        {"reason": "no witness found: basis pair with theta(s, x, 0) != s.x"}
+    ]

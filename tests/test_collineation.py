@@ -296,9 +296,11 @@ def test_transported_reflection_postcondition_raises(monkeypatch):
     with pytest.raises(collineation.PostconditionViolation):
         transported_reflection(AffinePoint(E, I1))
     # the collineations suite reports the mismatch as a failure
-    from okuboplane.suites import _transported_reflection
+    from okuboplane.suites import TRANSPORTED_REFLECTION
 
-    assert _transported_reflection(OK, trial_rng(0, 0))["case"] == "paths-disagree"
+    report = TRANSPORTED_REFLECTION.report(OK, OK, 3, 0)
+    assert [f["error"] for f in report.failures] == ["PostconditionViolation"]
+    assert report.failures[0]["detail"].startswith("closed form and composite disagree")
 
 
 def test_transported_reflection_closed_form_rejects_infinite():
@@ -365,3 +367,18 @@ def test_collineation_descriptor_rejects_unknown():
 
     with pytest.raises(ValueError):
         collineation_from_json({"type": "homothety"})
+
+
+@pytest.mark.parametrize("inverse", ["false", 0, None])
+def test_triality_descriptor_rejects_non_bool_inverse(inverse):
+    from okuboplane.collineation import collineation_from_json
+
+    with pytest.raises(ValueError, match="inverse"):
+        collineation_from_json({"type": "triality", "kind": "okubo", "inverse": inverse})
+
+
+def test_triality_descriptor_requires_inverse():
+    from okuboplane.collineation import collineation_from_json
+
+    with pytest.raises(KeyError):
+        collineation_from_json({"type": "triality", "kind": "okubo"})

@@ -11,17 +11,21 @@ from okuboplane.plane import (
     FiniteLine,
 )
 from okuboplane.scalar import QSqrt3
-from okuboplane.suites import PTR_ROWS
+from okuboplane.suites import (
+    DIAGONAL_COLLINEAR,
+    DIAGONAL_NOT_COLLINEAR,
+    MOUFANG_FAILS,
+    MOUFANG_HOLDS,
+    PTR_ROWS,
+)
 from okuboplane.theorems import (
     DegenerateConfig,
     DesarguesConfig,
-    collinearity_witness,
     config_incidences,
     desargues_falsify,
     desargues_l1,
     little_desargues_build,
     little_desargues_verify,
-    moufang_failure_witness,
     ptr_nonlinearity_witness,
     ptr_product,
     ptr_sum,
@@ -153,7 +157,7 @@ def test_associated_sum_uses_unit_label():
 # -- separation witnesses -------------------------------------------------------------
 
 def test_collinearity_witness_okubo():
-    report = collinearity_witness(OKUBO_PLANE, trials=20, seed=0)
+    report = DIAGONAL_NOT_COLLINEAR.report(OK, OKUBO_PLANE, 20, 0)
     assert report.ok and report.mode == "expect-witness"
     assert report.witnesses
     w = report.witnesses[0]
@@ -163,19 +167,20 @@ def test_collinearity_witness_okubo():
 
 
 def test_collinearity_witness_octonion():
-    report = collinearity_witness(PLANES[AlgebraKind.OCTONION], trials=20, seed=0)
+    report = DIAGONAL_COLLINEAR.report(AlgebraKind.OCTONION, OCTONION_PLANE, 20, 0)
     assert report.ok and report.mode == "expect-pass"
     assert not report.failures
 
 
 def test_collinearity_witness_para():
-    report = collinearity_witness(PLANES[AlgebraKind.PARA_OCTONION], trials=20, seed=0)
+    kind = AlgebraKind.PARA_OCTONION
+    report = DIAGONAL_NOT_COLLINEAR.report(kind, PLANES[kind], 20, 0)
     assert report.ok and report.witnesses
 
 
 @pytest.mark.parametrize("kind", [OK, AlgebraKind.PARA_OCTONION])
 def test_moufang_witnesses_found(kind):
-    report = moufang_failure_witness(kind, trials=20, seed=0)
+    report = MOUFANG_FAILS.report(kind, kind, 20, 0)
     assert report.ok
     names = {w["identity"] for w in report.witnesses}
     assert names == {"Moufang1", "Moufang2", "Moufang3", "AlternativeLeft", "AlternativeRight"}
@@ -190,5 +195,5 @@ def test_moufang_witnesses_found(kind):
 
 
 def test_moufang_holds_for_octonions():
-    report = moufang_failure_witness(AlgebraKind.OCTONION, trials=30, seed=0)
+    report = MOUFANG_HOLDS.report(AlgebraKind.OCTONION, AlgebraKind.OCTONION, 30, 0)
     assert report.ok and report.mode == "expect-pass" and not report.failures
