@@ -164,16 +164,16 @@ class HermMat3:
         )
 
     def matmul(self, other: HermMat3) -> HermMat3:
-        a, b = self.rows, other.rows
-        return HermMat3(
-            tuple(
-                tuple(
-                    a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-                    for j in range(3)
-                )
-                for i in range(3)
+        """Row-by-column product, summing only the terms whose two factors
+        are both non-zero."""
+        b = other.rows
+        out = []
+        for row in self.rows:
+            terms = [(v, b[k]) for k, v in enumerate(row) if v]
+            out.append(
+                tuple(sum((v * bk[j] for v, bk in terms if bk[j]), CQ_ZERO) for j in range(3))
             )
-        )
+        return HermMat3(tuple(out))
 
     def scale(self, s: CQSqrt3) -> HermMat3:
         return HermMat3(tuple(tuple(v * s for v in row) for row in self.rows))

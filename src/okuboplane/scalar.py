@@ -27,26 +27,28 @@ _SQRT3_FLOAT = math.sqrt(3.0)
 _gcd = math.gcd
 
 
+def _rational(x: int | Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational component."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"Q(sqrt 3) components must be int or Fraction, not {type(x).__name__}")
+
+
 class QSqrt3:
     """An element ``a + b*sqrt(3)`` of Q(sqrt 3).
 
-    Construct from ints or Fractions; instances are immutable and canonical,
-    so ``==`` is exact component comparison.
+    Construct from ints or Fractions only (``TypeError`` otherwise, ``bool``
+    and ``float`` included); instances are immutable and canonical, so ``==``
+    is exact component comparison.
     """
 
     __slots__ = ("p", "q", "d")
 
     def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
-        if type(a) is int:
-            pa, da = a, 1
-        else:
-            f = Fraction(a)
-            pa, da = f.numerator, f.denominator
-        if type(b) is int:
-            qb, db = b, 1
-        else:
-            f = Fraction(b)
-            qb, db = f.numerator, f.denominator
+        pa, da = _rational(a)
+        qb, db = _rational(b)
         p, q, d = pa * db, qb * da, da * db
         g = _gcd(p, q, d)
         if g > 1:
@@ -229,11 +231,20 @@ def parse(text: str) -> QSqrt3:
 
 
 class CQSqrt3:
-    """Complexified scalar ``re + i*im`` with QSqrt3 components."""
+    """Complexified scalar ``re + i*im`` with QSqrt3 components.
+
+    The ring operations short-circuit on a zero operand: the matrix model's
+    basis matrices have 2-3 non-zero entries of 9, so most products there
+    have a zero factor.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: QSqrt3 = QS_ZERO, im: QSqrt3 = QS_ZERO) -> None:
+        if not (isinstance(re, QSqrt3) and isinstance(im, QSqrt3)):
+            raise TypeError(
+                f"CQSqrt3 components must be QSqrt3, not {type(re).__name__}, {type(im).__name__}"
+            )
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -241,15 +252,25 @@ class CQSqrt3:
         raise AttributeError("CQSqrt3 is immutable")
 
     def __add__(self, other: CQSqrt3) -> CQSqrt3:
+        if not other:
+            return self
+        if not self:
+            return other
         return CQSqrt3(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: CQSqrt3) -> CQSqrt3:
+        if not other:
+            return self
+        if not self:
+            return -other
         return CQSqrt3(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> CQSqrt3:
         return CQSqrt3(-self.re, -self.im)
 
     def __mul__(self, other: CQSqrt3) -> CQSqrt3:
+        if not self or not other:
+            return CQ_ZERO
         return CQSqrt3(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -259,6 +280,8 @@ class CQSqrt3:
         return CQSqrt3(self.re, -self.im)
 
     def scale(self, s: QSqrt3) -> CQSqrt3:
+        if not self or not s:
+            return CQ_ZERO
         return CQSqrt3(self.re * s, self.im * s)
 
     def __eq__(self, other: object) -> bool:

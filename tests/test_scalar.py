@@ -144,3 +144,23 @@ def test_complex_modulus_nonnegative():
         m = z * z.conj()
         assert not m.im
         assert m.re.sign() >= 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.1,), (True,), (1, False), (1, 0.5), ("1/2",), (Fraction(1, 2), "3")],
+    ids=["float", "bool", "bool-sqrt3-part", "float-sqrt3-part", "str", "str-sqrt3-part"],
+)
+def test_scalar_constructor_rejects_non_rationals(args):
+    with pytest.raises(TypeError):
+        QSqrt3(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 2), (QS_ONE, 2), (1,), (Fraction(1), QS_ZERO)],
+    ids=["ints", "int-im", "int-re", "fraction-re"],
+)
+def test_complex_constructor_rejects_non_scalars(args):
+    with pytest.raises(TypeError):
+        CQSqrt3(*args)
