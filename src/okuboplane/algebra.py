@@ -75,9 +75,12 @@ class Vec8:
         cs = tuple(coords)
         if len(cs) != 8:
             raise ValueError("Vec8 needs exactly 8 coordinates")
-        object.__setattr__(self, "c", cs)
+        _set_c(self, cs)
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Vec8 is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("Vec8 is immutable")
 
     @staticmethod
@@ -131,6 +134,8 @@ class Vec8:
     def from_json(data: Sequence[str]) -> Vec8:
         return Vec8(tuple(parse(s) for s in data))
 
+
+_set_c = Vec8.c.__set__
 
 _VEC_ZERO = Vec8((QS_ZERO,) * 8)
 _VEC_BASIS = tuple(
@@ -578,8 +583,8 @@ def product_conversion_crosscheck(x: Vec8, y: Vec8) -> bool:
 def random_scalar(rng: random.Random) -> QSqrt3:
     """Bounded generator: numerator in [-3, 3], denominator in {1, 2},
     optionally carried by sqrt3; keeps exact growth small in deep chains."""
-    f = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-    return QSqrt3(0, f) if rng.random() < 0.25 else QSqrt3(f)
+    num, den = rng.randint(-3, 3), rng.choice((1, 2))
+    return QSqrt3.of(num, den, sqrt3=rng.random() < 0.25)
 
 
 def random_vec(rng: random.Random) -> Vec8:

@@ -9,7 +9,9 @@ only in ``__float__`` for report rendering, never in a correctness decision.
 Internally a value is stored as one integer triple ``(p + q*sqrt3)/d`` with
 ``d > 0`` and ``gcd(p, q, d) = 1``; join/meet/Veronese chains square and
 divide coordinates, so arbitrary-precision integers are mandatory and the
-single shared denominator keeps the gcd work per operation minimal.
+single shared denominator keeps the gcd work per operation minimal (none
+at all when the denominator is 1).  Values are built by one normaliser,
+``_canonical``, which writes the slots directly.
 """
 
 from __future__ import annotations
@@ -50,42 +52,36 @@ class QSqrt3:
         pa, da = _rational(a)
         qb, db = _rational(b)
         p, q, d = pa * db, qb * da, da * db
-        g = _gcd(p, q, d)
-        if g > 1:
-            p //= g
-            q //= g
-            d //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        if d != 1:
+            g = _gcd(p, q, d)
+            if g > 1:
+                p //= g
+                q //= g
+                d //= g
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_d(self, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QSqrt3 is immutable")
 
-    @staticmethod
-    def _raw(p: int, q: int, d: int) -> QSqrt3:
-        # assumes d > 0 and gcd(p, q, d) == 1
-        out = object.__new__(QSqrt3)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "q", q)
-        object.__setattr__(out, "d", d)
-        return out
-
-    @staticmethod
-    def _norm3(p: int, q: int, d: int) -> QSqrt3:
-        if d < 0:
-            p, q, d = -p, -q, -d
-        g = _gcd(p, q, d)
-        if g > 1:
-            p //= g
-            q //= g
-            d //= g
-        return QSqrt3._raw(p, q, d)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("QSqrt3 is immutable")
 
     @classmethod
     def of(cls, num: int, den: int = 1, *, sqrt3: bool = False) -> QSqrt3:
-        """Shorthand for ``num/den`` or ``(num/den)*sqrt(3)``."""
-        return cls._norm3(0, num, den) if sqrt3 else cls._norm3(num, 0, den)
+        """Shorthand for ``num/den`` or ``(num/den)*sqrt(3)``.
+
+        ``num`` and ``den`` must be ``int`` (``TypeError`` otherwise, ``bool``
+        included) and ``den`` non-zero (``ZeroDivisionError``).
+        """
+        if type(num) is not int or type(den) is not int:
+            raise TypeError(
+                f"QSqrt3.of takes int arguments, not {type(num).__name__}, {type(den).__name__}"
+            )
+        if den == 0:
+            raise ZeroDivisionError("QSqrt3.of with zero denominator")
+        return _canonical(0, num, den) if sqrt3 else _canonical(num, 0, den)
 
     @property
     def a(self) -> Fraction:
@@ -100,32 +96,32 @@ class QSqrt3:
     def __add__(self, other: QSqrt3) -> QSqrt3:
         d1, d2 = self.d, other.d
         if d1 == d2:
-            return QSqrt3._norm3(self.p + other.p, self.q + other.q, d1)
-        return QSqrt3._norm3(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
+            return _canonical(self.p + other.p, self.q + other.q, d1)
+        return _canonical(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
 
     def __sub__(self, other: QSqrt3) -> QSqrt3:
         d1, d2 = self.d, other.d
         if d1 == d2:
-            return QSqrt3._norm3(self.p - other.p, self.q - other.q, d1)
-        return QSqrt3._norm3(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1, d1 * d2)
+            return _canonical(self.p - other.p, self.q - other.q, d1)
+        return _canonical(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1, d1 * d2)
 
     def __neg__(self) -> QSqrt3:
-        return QSqrt3._raw(-self.p, -self.q, self.d)
+        return _raw(-self.p, -self.q, self.d)
 
     def __mul__(self, other: QSqrt3) -> QSqrt3:
         # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 3 q1 q2) + (p1 q2 + q1 p2) s
         q1, q2 = self.q, other.q
         if q1 == 0 and q2 == 0:
-            return QSqrt3._norm3(self.p * other.p, 0, self.d * other.d)
+            return _canonical(self.p * other.p, 0, self.d * other.d)
         p1, p2 = self.p, other.p
-        return QSqrt3._norm3(p1 * p2 + 3 * q1 * q2, p1 * q2 + q1 * p2, self.d * other.d)
+        return _canonical(p1 * p2 + 3 * q1 * q2, p1 * q2 + q1 * p2, self.d * other.d)
 
     def inv(self) -> QSqrt3:
         """Exact inverse: (a - b*sqrt3) / (a^2 - 3*b^2)."""
         p, q, d = self.p, self.q, self.d
         if p == 0 and q == 0:
             raise ZeroInverse("zero element of Q(sqrt 3) has no inverse")
-        return QSqrt3._norm3(d * p, -d * q, p * p - 3 * q * q)
+        return _canonical(d * p, -d * q, p * p - 3 * q * q)
 
     def __truediv__(self, other: QSqrt3) -> QSqrt3:
         return self * other.inv()
@@ -168,10 +164,43 @@ class QSqrt3:
         return f"QSqrt3({self.a!r}, {self.b!r})"
 
 
-QS_ZERO = QSqrt3._raw(0, 0, 1)
-QS_ONE = QSqrt3._raw(1, 0, 1)
-QS_HALF = QSqrt3._raw(1, 0, 2)
-SQRT3 = QSqrt3._raw(0, 1, 1)
+_new = object.__new__
+_set_p = QSqrt3.p.__set__
+_set_q = QSqrt3.q.__set__
+_set_d = QSqrt3.d.__set__
+
+
+def _canonical(p: int, q: int, d: int) -> QSqrt3:
+    """The value ``(p + q*sqrt3)/d`` for ``d != 0``, brought to ``d > 0`` and
+    ``gcd(p, q, d) == 1``; a ``d == 1`` triple already is canonical."""
+    if d != 1:
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = _gcd(p, q, d)
+        if g > 1:
+            p //= g
+            q //= g
+            d //= g
+    out = _new(QSqrt3)
+    _set_p(out, p)
+    _set_q(out, q)
+    _set_d(out, d)
+    return out
+
+
+def _raw(p: int, q: int, d: int) -> QSqrt3:
+    """The value ``(p + q*sqrt3)/d`` of a triple that already is canonical."""
+    out = _new(QSqrt3)
+    _set_p(out, p)
+    _set_q(out, q)
+    _set_d(out, d)
+    return out
+
+
+QS_ZERO = _raw(0, 0, 1)
+QS_ONE = _raw(1, 0, 1)
+QS_HALF = _raw(1, 0, 2)
+SQRT3 = _raw(0, 1, 1)
 
 
 def _render_fraction(f: Fraction) -> str:
@@ -245,10 +274,13 @@ class CQSqrt3:
             raise TypeError(
                 f"CQSqrt3 components must be QSqrt3, not {type(re).__name__}, {type(im).__name__}"
             )
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CQSqrt3 is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("CQSqrt3 is immutable")
 
     def __add__(self, other: CQSqrt3) -> CQSqrt3:
@@ -302,10 +334,13 @@ class CQSqrt3:
         return f"CQSqrt3({self.re!r}, {self.im!r})"
 
 
+_set_re = CQSqrt3.re.__set__
+_set_im = CQSqrt3.im.__set__
+
 CQ_ZERO = CQSqrt3(QS_ZERO, QS_ZERO)
 CQ_ONE = CQSqrt3(QS_ONE, QS_ZERO)
 CQ_I = CQSqrt3(QS_ZERO, QS_ONE)
 
 # mu = (3 + i*sqrt3)/6, the twist constant of the 3x3 matrix product
-MU = CQSqrt3(QS_HALF, QSqrt3._raw(0, 1, 6))
+MU = CQSqrt3(QS_HALF, _raw(0, 1, 6))
 MU_BAR = MU.conj()

@@ -408,6 +408,27 @@ def test_random_scalar_bounds():
         assert s.a == 0 or s.b == 0
 
 
+def test_random_scalar_matches_fraction_draw():
+    # the same three rng calls, in the same order, as drawing a Fraction
+    rng, ref = trial_rng(0, 18), trial_rng(0, 18)
+    for _ in range(200):
+        f = Fraction(ref.randint(-3, 3), ref.choice((1, 2)))
+        expected = QSqrt3(0, f) if ref.random() < 0.25 else QSqrt3(f)
+        assert random_scalar(rng) == expected
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("action", ["set", "delete"])
+def test_vec_refuses_assignment_and_deletion(action):
+    v = vec(e=QS_ONE)
+    with pytest.raises(AttributeError, match="immutable"):
+        if action == "set":
+            v.c = (QS_ZERO,) * 8
+        else:
+            del v.c
+    assert v == E and hash(v) == hash(E)
+
+
 def test_vec_json_roundtrip():
     rng = trial_rng(0, 17)
     for _ in range(10):

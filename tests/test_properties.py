@@ -1,25 +1,36 @@
-"""Hypothesis properties of the exact scalars and the matrix model.
+"""Hypothesis properties of the exact scalars, the matrix model and the
+three products on ``Vec8``.
 
 Values are drawn mixed and of large height (components up to ~2^96 over
-denominators up to ~2^80), with exact zeros, pure-rational, pure-sqrt3,
-pure-real and pure-imaginary cases, unlike the tiny values that
-``algebra.random_scalar`` draws for the reports.
+denominators up to ~2^80), with exact zeros, integral (denominator 1),
+pure-rational, pure-sqrt3, pure-real and pure-imaginary cases, unlike the
+tiny values that ``algebra.random_scalar`` draws for the reports.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from okuboplane.algebra import HermMat3  # noqa: E402
+from okuboplane.algebra import (  # noqa: E402
+    AlgebraKind,
+    HermMat3,
+    Vec8,
+    mul,
+    norm,
+    solve_left,
+    solve_right,
+)
 from okuboplane.scalar import (  # noqa: E402
     CQ_ZERO,
     QS_ONE,
     QS_ZERO,
+    SQRT3,
     CQSqrt3,
     QSqrt3,
     parse,
@@ -32,6 +43,7 @@ rationals = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
 
 scalars = st.one_of(
     st.just(QS_ZERO),
+    st.builds(QSqrt3, _NUMERATORS, _NUMERATORS),  # denominator 1: the fast path
     st.builds(QSqrt3, rationals),
     st.builds(lambda b: QSqrt3(0, b), rationals),
     st.builds(QSqrt3, rationals, rationals),
@@ -70,6 +82,41 @@ def test_scalar_inverse_and_division(x, y):
     assert x * x.inv() == QS_ONE
     assert x.inv().inv() == x
     assert (y / x) * x == y
+
+
+# -- every producer returns the canonical triple --------------------------------
+
+def _canonical_parts(x: QSqrt3) -> tuple[Fraction, Fraction]:
+    """(a, b) of x, after checking that x is stored as d > 0, gcd(p, q, d) == 1."""
+    assert type(x.p) is int and type(x.q) is int and type(x.d) is int
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    return Fraction(x.p, x.d), Fraction(x.q, x.d)
+
+
+@given(scalars, scalars)
+def test_scalar_operations_are_canonical_component_formulas(x, y):
+    (a1, b1), (a2, b2) = _canonical_parts(x), _canonical_parts(y)
+    assert _canonical_parts(x + y) == (a1 + a2, b1 + b2)
+    assert _canonical_parts(x - y) == (a1 - a2, b1 - b2)
+    assert _canonical_parts(x * y) == (a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2)
+    assert _canonical_parts(-x) == (-a1, -b1)
+
+
+@example(SQRT3)  # raw denominator a^2 - 3 b^2 = -3
+@example(QSqrt3(1, 1))  # -2
+@example(QSqrt3(2, 1))  # 1
+@example(QSqrt3(-5, 3))  # -2, with a negative rational part
+@given(nonzero_scalars)
+def test_scalar_inverse_is_canonical_component_formula(x):
+    a, b = _canonical_parts(x)
+    n = a * a - 3 * b * b
+    assert _canonical_parts(x.inv()) == (a / n, -b / n)
+
+
+@given(_NUMERATORS, st.one_of(_DENOMINATORS, _DENOMINATORS.map(lambda d: -d)), st.booleans())
+def test_of_is_canonical_component_formula(num, den, sqrt3):
+    f = Fraction(num, den)
+    assert _canonical_parts(QSqrt3.of(num, den, sqrt3=sqrt3)) == ((0, f) if sqrt3 else (f, 0))
 
 
 @given(rationals, rationals)
@@ -133,3 +180,30 @@ def _dense_matmul(x: HermMat3, y: HermMat3) -> HermMat3:
 @given(matrices, matrices)
 def test_matmul_equals_dense_sum(x, y):
     assert x.matmul(y) == _dense_matmul(x, y)
+
+
+# -- Vec8: the three products compose and divide --------------------------------
+
+# mixed vectors: every coordinate is zero or a mixed, large-height scalar
+vectors = st.lists(st.one_of(st.just(QS_ZERO), scalars), min_size=8, max_size=8).map(Vec8)
+nonzero_vectors = vectors.filter(bool)
+
+KINDS = list(AlgebraKind)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(x=vectors, y=vectors)
+def test_product_composes_norms(kind, x, y):
+    assert norm(mul(kind, x, y)) == norm(x) * norm(y)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(a=nonzero_vectors, b=vectors)
+def test_left_division(kind, a, b):
+    assert mul(kind, a, solve_left(kind, a, b)) == b
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(a=nonzero_vectors, b=vectors)
+def test_right_division(kind, a, b):
+    assert mul(kind, solve_right(kind, a, b), a) == b

@@ -164,3 +164,45 @@ def test_scalar_constructor_rejects_non_rationals(args):
 def test_complex_constructor_rejects_non_scalars(args):
     with pytest.raises(TypeError):
         CQSqrt3(*args)
+
+
+@pytest.mark.parametrize("name", ["p", "q", "d"])
+def test_scalar_refuses_assignment_and_deletion(name):
+    x = QSqrt3(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(x, name, 5)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(x, name)
+    assert x == QSqrt3(Fraction(1, 2), 3) and hash(x) == hash(QSqrt3(Fraction(1, 2), 3))
+
+
+@pytest.mark.parametrize("name", ["re", "im"])
+def test_complex_refuses_assignment_and_deletion(name):
+    z = CQSqrt3(QS_ONE, SQRT3)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(z, name, QS_ZERO)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(z, name)
+    assert z * CQ_ONE == CQSqrt3(QS_ONE, SQRT3)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((1, 0), ZeroDivisionError),
+        ((0, 0), ZeroDivisionError),
+        ((True,), TypeError),
+        ((1, True), TypeError),
+        ((0.5,), TypeError),
+        ((1, 2.0), TypeError),
+        ((Fraction(1, 2),), TypeError),
+        (("1",), TypeError),
+    ],
+    ids=["zero-den", "zero-over-zero", "bool", "bool-den", "float", "float-den", "fraction", "str"],
+)
+def test_of_rejects_bad_arguments(args, error):
+    with pytest.raises(error):
+        QSqrt3.of(*args)
+    with pytest.raises(error):
+        QSqrt3.of(*args, sqrt3=True)
+
