@@ -5,6 +5,9 @@ the complexification of Q(sqrt 3), multiplied by
 
     x * y = mu * xy + conj(mu) * yx - (1/3) Tr(xy) * I,   mu = (3 + i sqrt3)/6.
 
+A matrix is computed as integer entries over Z[sqrt3, i] and one denominator;
+the product clears mu by 6.
+
 Everything else is derived from it:
 
 * the distinguished idempotent ``e`` and the basis ``e, i1..i7``,
@@ -22,6 +25,7 @@ matrix model, so the tables can never drift from the oracle.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -29,18 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .scalar import (
-    CQ_ZERO,
-    MU,
-    MU_BAR,
-    QS_HALF,
-    QS_ONE,
-    QS_ZERO,
-    CQSqrt3,
-    QSqrt3,
-    parse,
-    render,
-)
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, _canonical, parse, render
+
+_gcd, _lcm, _new = math.gcd, math.lcm, object.__new__
 
 
 class RepresentationViolation(ArithmeticError):
@@ -146,139 +141,195 @@ E = _VEC_BASIS[0]
 BASIS = _VEC_BASIS  # e, i1..i7
 
 
-@dataclass(frozen=True)
-class HermMat3:
-    """3x3 matrix over the complexified scalars; rows are tuples."""
+# -- the matrix model over Z[sqrt3, i] ------------------------------------------
 
-    rows: Sequence[Sequence[CQSqrt3]]
+# An entry (a, b, c, d) means a + b*sqrt3 + i*(c + d*sqrt3).
+Entry = tuple[int, int, int, int]
+
+_Z4: Entry = (0, 0, 0, 0)
+SIX_MU: Entry = (3, 0, 0, 1)  # 6*mu = 3 + i*sqrt3, mu = (3 + i*sqrt3)/6
+_DIAGONAL = (0, 4, 8)
+_TRANSPOSE = (0, 3, 6, 1, 4, 7, 2, 5, 8)  # flat row-major index of (j, i)
+
+
+def entry_mul(u: Entry, v: Entry) -> Entry:
+    """The product of two entries, in Z[sqrt3, i]."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (
+        a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2,
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + 3 * b1 * d2 + c1 * a2 + 3 * d1 * b2,
+        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+    )
+
+
+def entry_conj(u: Entry) -> Entry:
+    a, b, c, d = u
+    return (a, b, -c, -d)
+
+
+SIX_MU_BAR = entry_conj(SIX_MU)
+
+
+@dataclass(frozen=True, slots=True)
+class HermMat3:
+    """A 3x3 matrix over Q(sqrt3, i): one integer denominator ``den`` and nine
+    row-major integer entries, entry ``(a, b, c, d)`` meaning
+    ``(a + b*sqrt3 + i*(c + d*sqrt3)) / den``.
+
+    Canonical (``den > 0``, and 1 is the gcd of ``den`` with the 36 entry
+    components), so ``==`` is exact.  The constructor takes ints only
+    (``TypeError`` otherwise, ``bool`` included) and a non-zero ``den``
+    (``ZeroDivisionError``).
+    """
+
+    den: int
+    entries: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-
-    def __getitem__(self, ij: tuple[int, int]) -> CQSqrt3:
-        return self.rows[ij[0]][ij[1]]
-
-    def __add__(self, other: HermMat3) -> HermMat3:
-        return HermMat3(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other: HermMat3) -> HermMat3:
-        return HermMat3(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def matmul(self, other: HermMat3) -> HermMat3:
-        """Row-by-column product, summing only the terms whose two factors
-        are both non-zero."""
-        b = other.rows
-        out = []
-        for row in self.rows:
-            terms = [(v, b[k]) for k, v in enumerate(row) if v]
-            out.append(
-                tuple(sum((v * bk[j] for v, bk in terms if bk[j]), CQ_ZERO) for j in range(3))
-            )
-        return HermMat3(tuple(out))
-
-    def scale(self, s: CQSqrt3) -> HermMat3:
-        return HermMat3(tuple(tuple(v * s for v in row) for row in self.rows))
-
-    def trace(self) -> CQSqrt3:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def is_hermitian(self) -> bool:
-        for i in range(3):
-            for j in range(3):
-                if self.rows[i][j] != self.rows[j][i].conj():
-                    return False
-        return True
+        entries = tuple(tuple(u) for u in self.entries)
+        if len(entries) != 9 or any(len(u) != 4 for u in entries):
+            raise TypeError("HermMat3 takes nine entries of four ints each")
+        if any(type(n) is not int for n in (self.den, *(n for u in entries for n in u))):
+            raise TypeError("HermMat3 components must be int")
+        if self.den == 0:
+            raise ZeroDivisionError("HermMat3 with zero denominator")
+        _fill(self, self.den, entries)
 
 
-def _real(num: int, den: int = 1, *, sqrt3: bool = False) -> CQSqrt3:
-    return CQSqrt3(QSqrt3.of(num, den, sqrt3=sqrt3))
+_set_den = HermMat3.den.__set__
+_set_entries = HermMat3.entries.__set__
 
 
-def _imag(num: int, den: int = 1, *, sqrt3: bool = False) -> CQSqrt3:
-    return CQSqrt3(QS_ZERO, QSqrt3.of(num, den, sqrt3=sqrt3))
+def _fill(m: HermMat3, den: int, entries) -> HermMat3:
+    """Writes ``entries / den`` (``den != 0``) into ``m`` in canonical form."""
+    g = _gcd(den, *(n for u in entries for n in u))
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        entries = [(a // g, b // g, c // g, d // g) for a, b, c, d in entries]
+    _set_den(m, den)
+    _set_entries(m, tuple(entries))
+    return m
 
 
-_Z = CQ_ZERO
+def _matrix(den: int, entries: Sequence[Entry]) -> HermMat3:
+    """The matrix ``entries / den`` from integer entries known to be well formed."""
+    return _fill(_new(HermMat3), den, entries)
+
+
+def _matmul(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
+    """Row-by-column product of two integer entry grids, summing only the
+    terms whose two factors are both non-zero."""
+    out = []
+    for i in (0, 3, 6):
+        row = [(u, k) for k, u in enumerate(x[i:i + 3]) if u != _Z4]
+        for j in range(3):
+            terms = [entry_mul(u, y[3 * k + j]) for u, k in row if y[3 * k + j] != _Z4]
+            out.append(tuple(map(sum, zip(*terms))) if terms else _Z4)
+    return out
 
 
 @lru_cache(maxsize=1)
 def basis_matrices() -> tuple[HermMat3, ...]:
     """The idempotent e = diag(2,-1,-1) and the seven sqrt3-scaled units."""
-    s3r = lambda: _real(1, sqrt3=True)
-    s3i = lambda: _imag(1, sqrt3=True)
-    e = HermMat3(((_real(2), _Z, _Z), (_Z, _real(-1), _Z), (_Z, _Z, _real(-1))))
-    i1 = HermMat3(((_Z, s3r(), _Z), (s3r(), _Z, _Z), (_Z, _Z, _Z)))
-    i2 = HermMat3(((_Z, _Z, s3r()), (_Z, _Z, _Z), (s3r(), _Z, _Z)))
-    i3 = HermMat3(((_Z, _Z, _Z), (_Z, _Z, s3r()), (_Z, s3r(), _Z)))
-    i4 = HermMat3(
-        ((_real(1, sqrt3=True), _Z, _Z), (_Z, _real(-1, sqrt3=True), _Z), (_Z, _Z, _Z))
+    z, r, i, ni = _Z4, (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)  # 0, sqrt3, +-i*sqrt3
+    grids = (
+        ((2, 0, 0, 0), z, z, z, (-1, 0, 0, 0), z, z, z, (-1, 0, 0, 0)),  # e
+        (z, r, z, r, z, z, z, z, z),  # i1
+        (z, z, r, z, z, z, r, z, z),  # i2
+        (z, z, z, z, z, r, z, r, z),  # i3
+        (r, z, z, z, (0, -1, 0, 0), z, z, z, z),  # i4
+        (z, ni, z, i, z, z, z, z, z),  # i5
+        (z, z, ni, z, z, z, i, z, z),  # i6
+        (z, z, z, z, z, ni, z, i, z),  # i7
     )
-    i5 = HermMat3(((_Z, -s3i(), _Z), (s3i(), _Z, _Z), (_Z, _Z, _Z)))
-    i6 = HermMat3(((_Z, _Z, -s3i()), (_Z, _Z, _Z), (s3i(), _Z, _Z)))
-    i7 = HermMat3(((_Z, _Z, _Z), (_Z, _Z, -s3i()), (_Z, s3i(), _Z)))
-    return (e, i1, i2, i3, i4, i5, i6, i7)
-
-
-_IDENTITY3 = HermMat3(((CQSqrt3(QS_ONE), _Z, _Z), (_Z, CQSqrt3(QS_ONE), _Z), (_Z, _Z, CQSqrt3(QS_ONE))))
-
-_THIRD = QSqrt3(Fraction(1, 3))
+    return tuple(HermMat3(1, grid) for grid in grids)
 
 
 def okubo_matrix_mul(x: HermMat3, y: HermMat3) -> HermMat3:
-    """mu*xy + conj(mu)*yx - (1/3)Tr(xy)*I on traceless Hermitian matrices."""
-    xy = x.matmul(y)
-    yx = y.matmul(x)
-    out = xy.scale(MU) + yx.scale(MU_BAR) - _IDENTITY3.scale(xy.trace().scale(_THIRD))
-    if out.trace() or not out.is_hermitian():
+    """mu*xy + conj(mu)*yx - (1/3)Tr(xy)*I on traceless Hermitian matrices.
+
+    Over the integer entries X, Y this is
+    (6mu*XY + conj(6mu)*YX - 2Tr(XY)*I) / (6 den_x den_y).
+    """
+    xy, yx = _matmul(x.entries, y.entries), _matmul(y.entries, x.entries)
+    out = [
+        _Z4 if p == q == _Z4 else
+        tuple(map(int.__add__, entry_mul(SIX_MU, p), entry_mul(SIX_MU_BAR, q)))
+        for p, q in zip(xy, yx)
+    ]
+    t = tuple(2 * (a + b + c) for a, b, c in zip(*(xy[k] for k in _DIAGONAL)))
+    for k in _DIAGONAL:
+        out[k] = tuple(map(int.__sub__, out[k], t))
+    if any(map(sum, zip(*(out[k] for k in _DIAGONAL)))) or any(
+        out[_TRANSPOSE[k]] != entry_conj(u) for k, u in enumerate(out)
+    ):
         raise RepresentationViolation("product left the traceless Hermitian space")
-    return out
+    return _matrix(6 * x.den * y.den, out)
+
+
+def _real_trace(x: HermMat3, y: HermMat3) -> tuple[int, int]:
+    """(a, b) with Tr(XY) = a + b*sqrt3 for the integer entries X, Y."""
+    ye = y.entries
+    terms = [
+        entry_mul(u, ye[_TRANSPOSE[k]])
+        for k, u in enumerate(x.entries)
+        if u != _Z4 and ye[_TRANSPOSE[k]] != _Z4
+    ]
+    a, b, c, d = map(sum, zip(*terms)) if terms else _Z4
+    if c or d:
+        raise RepresentationViolation("trace of the product is not real")
+    return a, b
 
 
 def matrix_norm(x: HermMat3) -> QSqrt3:
     """n(x) = Tr(x^2)/6; real for Hermitian input."""
-    t = x.matmul(x).trace()
-    if t.im:
-        raise RepresentationViolation("trace of x^2 is not real")
-    return t.re * QSqrt3(Fraction(1, 6))
+    a, b = _real_trace(x, x)
+    return _canonical(a, b, 6 * x.den * x.den)
 
 
 def matrix_polar(x: HermMat3, y: HermMat3) -> QSqrt3:
     """<x,y> = Tr(xy)/3, the polarisation of the norm in the matrix model."""
-    t = x.matmul(y).trace()
-    if t.im:
-        raise RepresentationViolation("trace of xy is not real")
-    return t.re * _THIRD
+    a, b = _real_trace(x, y)
+    return _canonical(a, b, 3 * x.den * y.den)
 
 
 def vec_to_matrix(v: Vec8) -> HermMat3:
-    mats = basis_matrices()
-    out = mats[0].scale(CQSqrt3(v.c[0]))
-    for k in range(1, 8):
-        if v.c[k]:
-            out = out + mats[k].scale(CQSqrt3(v.c[k]))
-    return out
-
-
-_INV_SQRT3 = QSqrt3(0, Fraction(1, 3))  # 1/sqrt3 = sqrt3/3
+    """sum_k v_k basis_k over the least common denominator."""
+    terms = [(c, m) for c, m in zip(v.c, basis_matrices()) if c]
+    den = _lcm(*(c.d * m.den for c, m in terms))
+    out = [_Z4] * 9
+    for c, m in terms:
+        f = den // (c.d * m.den)
+        s = (c.p * f, c.q * f, 0, 0)
+        for k, u in enumerate(m.entries):
+            if u != _Z4:
+                out[k] = tuple(map(int.__add__, out[k], entry_mul(s, u)))
+    return _matrix(den, out)
 
 
 def matrix_to_vec(m: HermMat3) -> Vec8:
-    """Exact closed-form decomposition over the basis, with round-trip check."""
-    m11, m22 = m.rows[0][0], m.rows[1][1]
-    m12, m13, m23 = m.rows[0][1], m.rows[0][2], m.rows[1][2]
-    c0 = m11.re + m22.re
-    c4 = (m11.re - c0 - c0) * _INV_SQRT3
-    c1 = m12.re * _INV_SQRT3
-    c5 = -m12.im * _INV_SQRT3
-    c2 = m13.re * _INV_SQRT3
-    c6 = -m13.im * _INV_SQRT3
-    c3 = m23.re * _INV_SQRT3
-    c7 = -m23.im * _INV_SQRT3
-    v = Vec8((c0, c1, c2, c3, c4, c5, c6, c7))
+    """Exact closed-form decomposition over the basis, with round-trip check.
+
+    An entry part (r + s*sqrt3)/den divided by sqrt3 is (3s + r*sqrt3)/(3 den).
+    """
+    e, den = m.entries, m.den
+    (a11, b11, _, _), (a22, b22, _, _) = e[0], e[4]
+    (a12, b12, c12, d12), (a13, b13, c13, d13), (a23, b23, c23, d23) = e[1], e[2], e[5]
+    den3 = 3 * den
+    v = Vec8((
+        _canonical(a11 + a22, b11 + b22, den),
+        _canonical(3 * b12, a12, den3),
+        _canonical(3 * b13, a13, den3),
+        _canonical(3 * b23, a23, den3),
+        _canonical(-3 * (b11 + 2 * b22), -(a11 + 2 * a22), den3),
+        _canonical(-3 * d12, -c12, den3),
+        _canonical(-3 * d13, -c13, den3),
+        _canonical(-3 * d23, -c23, den3),
+    ))
     if vec_to_matrix(v) != m:
         raise BasisDecompositionFailure("matrix is outside the basis span")
     return v

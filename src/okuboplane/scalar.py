@@ -1,4 +1,4 @@
-"""Exact arithmetic in the real quadratic field Q(sqrt 3) and its complexification.
+"""Exact arithmetic in the real quadratic field Q(sqrt 3).
 
 Every coordinate in this package is a ``QSqrt3`` value ``a + b*sqrt(3)`` with
 rational ``a, b``.  Equality is structural: because sqrt(3) is irrational,
@@ -244,7 +244,10 @@ def parse(text: str) -> QSqrt3:
         if m.group("sign") is None and (a is not None or b is not None):
             raise ValueError(f"missing sign between terms in {text!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         if m.group("root1") or m.group("root2"):
             if b is not None:
                 raise ValueError(f"duplicate sqrt3 term in {text!r}")
@@ -257,90 +260,3 @@ def parse(text: str) -> QSqrt3:
     if a is None and b is None:
         raise ValueError("empty Q(sqrt 3) scalar")
     return QSqrt3(a or 0, b or 0)
-
-
-class CQSqrt3:
-    """Complexified scalar ``re + i*im`` with QSqrt3 components.
-
-    The ring operations short-circuit on a zero operand: the matrix model's
-    basis matrices have 2-3 non-zero entries of 9, so most products there
-    have a zero factor.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: QSqrt3 = QS_ZERO, im: QSqrt3 = QS_ZERO) -> None:
-        if not (isinstance(re, QSqrt3) and isinstance(im, QSqrt3)):
-            raise TypeError(
-                f"CQSqrt3 components must be QSqrt3, not {type(re).__name__}, {type(im).__name__}"
-            )
-        _set_re(self, re)
-        _set_im(self, im)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CQSqrt3 is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("CQSqrt3 is immutable")
-
-    def __add__(self, other: CQSqrt3) -> CQSqrt3:
-        if not other:
-            return self
-        if not self:
-            return other
-        return CQSqrt3(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: CQSqrt3) -> CQSqrt3:
-        if not other:
-            return self
-        if not self:
-            return -other
-        return CQSqrt3(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> CQSqrt3:
-        return CQSqrt3(-self.re, -self.im)
-
-    def __mul__(self, other: CQSqrt3) -> CQSqrt3:
-        if not self or not other:
-            return CQ_ZERO
-        return CQSqrt3(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> CQSqrt3:
-        return CQSqrt3(self.re, -self.im)
-
-    def scale(self, s: QSqrt3) -> CQSqrt3:
-        if not self or not s:
-            return CQ_ZERO
-        return CQSqrt3(self.re * s, self.im * s)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CQSqrt3):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        return f"({render(self.re)}) + i*({render(self.im)})"
-
-    def __repr__(self) -> str:
-        return f"CQSqrt3({self.re!r}, {self.im!r})"
-
-
-_set_re = CQSqrt3.re.__set__
-_set_im = CQSqrt3.im.__set__
-
-CQ_ZERO = CQSqrt3(QS_ZERO, QS_ZERO)
-CQ_ONE = CQSqrt3(QS_ONE, QS_ZERO)
-CQ_I = CQSqrt3(QS_ZERO, QS_ONE)
-
-# mu = (3 + i*sqrt3)/6, the twist constant of the 3x3 matrix product
-MU = CQSqrt3(QS_HALF, _raw(0, 1, 6))
-MU_BAR = MU.conj()

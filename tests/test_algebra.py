@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import okuboplane
 from okuboplane.algebra import (
     AlgebraKind,
     BasisDecompositionFailure,
@@ -13,6 +18,7 @@ from okuboplane.algebra import (
     basis_matrices,
     check_identity,
     conjugate_oct,
+    entry_conj,
     gram,
     matrix_norm,
     matrix_to_vec,
@@ -33,7 +39,7 @@ from okuboplane.algebra import (
     trivolution_table_report,
     vec_to_matrix,
 )
-from okuboplane.scalar import CQ_ZERO, CQSqrt3, QS_ONE, QS_ZERO, QSqrt3
+from okuboplane.scalar import QS_ONE, QS_ZERO, QSqrt3
 
 OK = AlgebraKind.OKUBO
 OC = AlgebraKind.OCTONION
@@ -59,18 +65,28 @@ def q(a, b=0):
 
 # -- matrix representation ---------------------------------------------------
 
+Z4 = (0, 0, 0, 0)
+
+
+def grid(**cells):
+    """Nine row-major entries, zero except the named ones (``m12=...``)."""
+    return tuple(cells.get(f"m{k // 3 + 1}{k % 3 + 1}", Z4) for k in range(9))
+
+
 def test_basis_matrices_shape():
     mats = basis_matrices()
-    e = mats[0]
-    assert e.rows[0][0] == CQSqrt3(q(2)) and e.rows[1][1] == CQSqrt3(q(-1))
-    i1 = mats[1]
-    assert i1.rows[0][1] == CQSqrt3(q(0, 1)) and i1.rows[1][0] == CQSqrt3(q(0, 1))
-    i5 = mats[5]
-    assert i5.rows[0][1] == CQSqrt3(QS_ZERO, q(0, -1))
-    assert i5.rows[1][0] == CQSqrt3(QS_ZERO, q(0, 1))
+    assert all(m.den == 1 for m in mats)
+    e = mats[0].entries
+    assert e[0] == (2, 0, 0, 0) and e[4] == (-1, 0, 0, 0)
+    i1 = mats[1].entries
+    assert i1[1] == (0, 1, 0, 0) and i1[3] == (0, 1, 0, 0)
+    i5 = mats[5].entries
+    assert i5[1] == (0, 0, 0, -1)
+    assert i5[3] == (0, 0, 0, 1)
     for m in mats:
-        assert m.is_hermitian()
-        assert not m.trace()
+        u = m.entries
+        assert all(u[3 * j + i] == entry_conj(u[3 * i + j]) for i in range(3) for j in range(3))
+        assert [sum(n) for n in zip(u[0], u[4], u[8])] == [0, 0, 0, 0]
 
 
 def test_matrix_product_idempotent():
@@ -93,32 +109,14 @@ def test_matrix_product_e_i1():
 def test_matrix_product_violation_detected():
     # E12 and E21 are not Hermitian; their twisted product picks up complex
     # diagonal entries, which the closure check must reject
-    e12 = HermMat3(
-        (
-            (CQ_ZERO, CQSqrt3(QS_ONE), CQ_ZERO),
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-        )
-    )
-    e21 = HermMat3(
-        (
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-            (CQSqrt3(QS_ONE), CQ_ZERO, CQ_ZERO),
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-        )
-    )
+    e12 = HermMat3(1, grid(m12=(1, 0, 0, 0)))
+    e21 = HermMat3(1, grid(m21=(1, 0, 0, 0)))
     with pytest.raises(RepresentationViolation):
         okubo_matrix_mul(e12, e21)
 
 
 def test_matrix_norm_rejects_complex_trace():
-    skew = HermMat3(
-        (
-            (CQ_ZERO, CQSqrt3(QS_ZERO, QS_ONE), CQ_ZERO),
-            (CQSqrt3(QS_ONE), CQ_ZERO, CQ_ZERO),
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-        )
-    )
+    skew = HermMat3(1, grid(m12=(0, 0, 1, 0), m21=(1, 0, 0, 0)))
     with pytest.raises(RepresentationViolation):
         matrix_norm(skew)
 
@@ -131,15 +129,89 @@ def test_decomposition_round_trip():
 
 
 def test_decomposition_failure_outside_span():
-    non_hermitian = HermMat3(
-        (
-            (CQ_ZERO, CQSqrt3(QS_ONE), CQ_ZERO),
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-            (CQ_ZERO, CQ_ZERO, CQ_ZERO),
-        )
-    )
+    non_hermitian = HermMat3(1, grid(m12=(1, 0, 0, 0)))
     with pytest.raises(BasisDecompositionFailure):
         matrix_to_vec(non_hermitian)
+
+
+def test_matrix_is_canonical():
+    m = HermMat3(-4, grid(m11=(2, 0, 0, 6), m22=(-2, 0, 0, -6)))
+    assert m == HermMat3(2, grid(m11=(-1, 0, 0, -3), m22=(1, 0, 0, 3)))
+    assert (m.den, m.entries[0]) == (2, (-1, 0, 0, -3))
+    assert HermMat3(7, grid()) == HermMat3(1, grid())
+
+
+@pytest.mark.parametrize(
+    "den, entries",
+    [
+        (1, grid(m12=(Fraction(1, 2), 0, 0, 0))),
+        (1, grid(m12=(0, 0, QS_ONE, 0))),
+        (1, grid(m12=(True, 0, 0, 0))),
+        (1.0, grid()),
+        (1, grid()[:8]),
+        (1, grid(m12=(1, 0, 0))),
+    ],
+    ids=["fraction-entry", "scalar-entry", "bool-entry", "float-den", "eight-entries", "short-entry"],
+)
+def test_matrix_constructor_rejects_non_integers(den, entries):
+    with pytest.raises(TypeError):
+        HermMat3(den, entries)
+
+
+def test_matrix_constructor_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        HermMat3(0, grid(m11=(1, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("name", ["den", "entries"])
+def test_matrix_refuses_assignment_and_deletion(name):
+    m = basis_matrices()[1]
+    with pytest.raises(AttributeError):
+        setattr(m, name, 5)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert m == HermMat3(1, grid(m12=(0, 1, 0, 0), m21=(0, 1, 0, 0)))
+
+
+def test_matrix_checks_survive_python_optimize():
+    # the product of e with itself under a wrong twist constant is Hermitian
+    # but not traceless: only the trace check can stop it
+    code = (
+        "from okuboplane import algebra as A\n"
+        "Z = (0, 0, 0, 0)\n"
+        "e12 = A.HermMat3(1, (Z, (1, 0, 0, 0)) + (Z,) * 7)\n"
+        "e21 = A.HermMat3(1, (Z,) * 3 + ((1, 0, 0, 0),) + (Z,) * 5)\n"
+        "skew = A.HermMat3(1, (Z, (0, 0, 1, 0), Z, (1, 0, 0, 0)) + (Z,) * 5)\n"
+        "e = A.basis_matrices()[0]\n"
+        "def twisted(x, y):\n"
+        "    A.SIX_MU = (4, 0, 0, 1)\n"
+        "    try:\n"
+        "        return A.okubo_matrix_mul(x, y)\n"
+        "    finally:\n"
+        "        A.SIX_MU = (3, 0, 0, 1)\n"
+        "for name, call in [('hermitian', lambda: A.okubo_matrix_mul(e12, e21)),\n"
+        "                   ('traceless', lambda: twisted(e, e)),\n"
+        "                   ('real-trace', lambda: A.matrix_norm(skew)),\n"
+        "                   ('round-trip', lambda: A.matrix_to_vec(e12))]:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (A.RepresentationViolation, A.BasisDecompositionFailure) as exc:\n"
+        "        print(name, type(exc).__name__)\n"
+        "print('debug', __debug__)\n"
+    )
+    src = str(Path(okuboplane.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "hermitian", "RepresentationViolation",
+        "traceless", "RepresentationViolation",
+        "real-trace", "RepresentationViolation",
+        "round-trip", "BasisDecompositionFailure",
+        "debug", "False",
+    ]
 
 
 # -- structure tables ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Byte-identity of the reports: pinned digests of `okuboplane all`.
+"""Byte-identity of the reports and tables: pinned digests of `okuboplane all`
+and of `okuboplane dump-tables`.
 
 Each run is `all --kind K --seed 0 --trials 3 --format json`.  The reports are
 split into suites by their pinned counts, `elapsed_ms` is stripped, and each
@@ -13,6 +14,10 @@ import json
 import pytest
 
 from okuboplane.cli import main
+
+# SHA-256 of the `dump-tables` stdout: structure tables, Gram matrix and the
+# trivolution data, byte for byte
+DUMP_TABLES = "bae946ae6b1857cd5c7aa546ff11a909127d7a61e4b120b54d8f0f74c3bcb5de"
 
 # kind -> [(suite, report count, digest)], in the order `all` runs the suites.
 GOLDEN = {
@@ -76,3 +81,8 @@ def test_all_reports_match_pinned_digests(kind, tmp_path):
         assert _digest(reports[start:start + count]) == digest, f"suite {suite} changed"
         start += count
     assert start == len(reports)
+
+
+def test_dump_tables_match_pinned_digest(capsys):
+    assert main(["dump-tables"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DUMP_TABLES

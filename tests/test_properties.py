@@ -4,7 +4,9 @@ three products on ``Vec8``.
 Values are drawn mixed and of large height (components up to ~2^96 over
 denominators up to ~2^80), with exact zeros, integral (denominator 1),
 pure-rational, pure-sqrt3, pure-real and pure-imaginary cases, unlike the
-tiny values that ``algebra.random_scalar`` draws for the reports.
+tiny values that ``algebra.random_scalar`` draws for the reports.  The
+matrix model's integer entries are checked against a dense ``Fraction``
+reference that expands products over the monomials sqrt3^m i^n.
 """
 
 import math
@@ -21,17 +23,22 @@ from okuboplane.algebra import (  # noqa: E402
     AlgebraKind,
     HermMat3,
     Vec8,
+    _matmul,
+    entry_mul,
+    matrix_polar,
+    matrix_to_vec,
     mul,
     norm,
+    okubo_matrix_mul,
+    polar,
     solve_left,
     solve_right,
+    vec_to_matrix,
 )
 from okuboplane.scalar import (  # noqa: E402
-    CQ_ZERO,
     QS_ONE,
     QS_ZERO,
     SQRT3,
-    CQSqrt3,
     QSqrt3,
     parse,
     render,
@@ -50,18 +57,19 @@ scalars = st.one_of(
 )
 nonzero_scalars = scalars.filter(bool)
 
-complexes = st.one_of(
-    st.just(CQ_ZERO),
-    st.builds(CQSqrt3, scalars),
-    st.builds(lambda im: CQSqrt3(QS_ZERO, im), scalars),
-    st.builds(CQSqrt3, scalars, scalars),
+# integer entries (a, b, c, d) = a + b*sqrt3 + i*(c + d*sqrt3) of the matrix model
+_Z4 = (0, 0, 0, 0)
+entries = st.one_of(
+    st.just(_Z4),
+    st.tuples(_NUMERATORS, _NUMERATORS, st.just(0), st.just(0)),  # real
+    st.tuples(st.just(0), st.just(0), _NUMERATORS, _NUMERATORS),  # imaginary
+    st.tuples(_NUMERATORS, _NUMERATORS, _NUMERATORS, _NUMERATORS),
 )
 
-# mostly zero entries, as in the basis matrices
-_ENTRIES = st.one_of(st.just(CQ_ZERO), st.just(CQ_ZERO), complexes)
-matrices = st.lists(_ENTRIES, min_size=9, max_size=9).map(
-    lambda e: HermMat3((tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])))
-)
+# mostly zero entries, as in the basis matrices, over a denominator of either sign
+_GRIDS = st.lists(st.one_of(st.just(_Z4), st.just(_Z4), entries), min_size=9, max_size=9)
+_SIGNED_DENOMINATORS = st.one_of(_DENOMINATORS, _DENOMINATORS.map(lambda d: -d))
+matrices = st.builds(HermMat3, _SIGNED_DENOMINATORS, _GRIDS)
 
 
 # -- Q(sqrt 3) ----------------------------------------------------------------
@@ -153,33 +161,62 @@ def test_scalar_parse_render_round_trip(x):
     assert parse(render(x)) == x
 
 
-# -- complexified scalars: the zero short-circuits equal the formulas ---------
+# -- Z[sqrt3, i] entries and integer matrices against dense Fractions ----------
 
-@given(complexes, complexes)
-def test_complex_ring_operations_match_component_formulas(x, y):
-    assert x * y == CQSqrt3(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
-    assert x + y == CQSqrt3(x.re + y.re, x.im + y.im)
-    assert x - y == CQSqrt3(x.re - y.re, x.im - y.im)
+_MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))  # sqrt3^m i^n for a, b, c, d
 
 
-@given(complexes, scalars)
-def test_complex_scale_matches_component_formula(x, s):
-    assert x.scale(s) == CQSqrt3(x.re * s, x.im * s)
+def _poly_mul(u, v):
+    """u*v expanded over the monomials, reduced by sqrt3^2 = 3 and i^2 = -1."""
+    out = [Fraction(0)] * 4
+    for (m1, n1), x in zip(_MONOMIALS, u):
+        for (m2, n2), y in zip(_MONOMIALS, v):
+            m, n = m1 + m2, n1 + n2
+            coeff = x * y * (3 if m == 2 else 1) * (-1 if n == 2 else 1)
+            out[_MONOMIALS.index((m % 2, n % 2))] += coeff
+    return tuple(out)
 
 
-def _dense_matmul(x: HermMat3, y: HermMat3) -> HermMat3:
-    a, b = x.rows, y.rows
-    return HermMat3(
+def _dense(den, grid):
+    """The nine entries of ``grid / den`` as Fraction quadruples."""
+    return [tuple(Fraction(n, den) for n in u) for u in grid]
+
+
+def _dense_matmul(x, y):
+    return [
         tuple(
-            tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3))
-            for i in range(3)
+            sum(parts, Fraction(0))
+            for parts in zip(*(_poly_mul(x[3 * i + k], y[3 * k + j]) for k in range(3)))
         )
-    )
+        for i in range(3)
+        for j in range(3)
+    ]
+
+
+@given(entries, entries)
+def test_complex_ring_operations_match_component_formulas(u, v):
+    assert entry_mul(u, v) == _poly_mul(u, v)
+    assert entry_mul(u, v) == entry_mul(v, u)
+
+
+@given(entries, _NUMERATORS, _NUMERATORS)
+def test_complex_scale_matches_component_formula(u, p, q):
+    a, b, c, d = u
+    expected = (a * p + 3 * b * q, a * q + b * p, c * p + 3 * d * q, c * q + d * p)
+    assert entry_mul(u, (p, q, 0, 0)) == expected
+
+
+@given(_SIGNED_DENOMINATORS, _GRIDS)
+def test_matrix_is_canonical_and_exact(den, grid):
+    m = HermMat3(den, grid)
+    assert m.den > 0 and math.gcd(m.den, *(n for u in m.entries for n in u)) == 1
+    assert _dense(m.den, m.entries) == _dense(den, grid)
 
 
 @given(matrices, matrices)
 def test_matmul_equals_dense_sum(x, y):
-    assert x.matmul(y) == _dense_matmul(x, y)
+    product = _dense(x.den * y.den, _matmul(x.entries, y.entries))
+    assert product == _dense_matmul(_dense(x.den, x.entries), _dense(y.den, y.entries))
 
 
 # -- Vec8: the three products compose and divide --------------------------------
@@ -207,3 +244,10 @@ def test_left_division(kind, a, b):
 @given(a=nonzero_vectors, b=vectors)
 def test_right_division(kind, a, b):
     assert mul(kind, solve_right(kind, a, b), a) == b
+
+
+@given(x=vectors, y=vectors)
+def test_matrix_oracle_on_drawn_vectors(x, y):
+    mx, my = vec_to_matrix(x), vec_to_matrix(y)
+    assert matrix_to_vec(okubo_matrix_mul(mx, my)) == mul(AlgebraKind.OKUBO, x, y)
+    assert matrix_polar(mx, my) == polar(x, y)

@@ -1,0 +1,53 @@
+"""Every basis scan of the `identities` suite can fail: given a corrupted
+structure table, Gram matrix or trivolution, the row reports a failure that
+names the offending index."""
+
+import dataclasses
+
+import pytest
+
+from okuboplane import suites
+from okuboplane.algebra import BASIS, AlgebraKind, GramMatrix, gram, structure_table
+
+OK = AlgebraKind.OKUBO
+ROWS = {getattr(row, "name", None): row for row in suites.IDENTITY_ROWS}
+SCANS = ("structure-table-vs-matrix-oracle", "gram-positive-definite-minors",
+         "trivolution-order-three")
+
+
+def _report(name):
+    return ROWS[name].report(OK, OK, 3, 0)
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_basis_scan_passes_on_derived_data(name):
+    assert _report(name).verdict == "pass"
+
+
+def test_structure_oracle_names_a_corrupted_product(monkeypatch):
+    table = structure_table(OK)
+    products = [list(row) for row in table.products]
+    products[2][5] = products[2][5] + BASIS[0]
+    corrupted = dataclasses.replace(table, products=tuple(map(tuple, products)))
+    monkeypatch.setattr(suites, "structure_table", lambda kind: corrupted)
+    report = _report("structure-table-vs-matrix-oracle")
+    assert report.verdict == "fail"
+    assert report.failures == [{"i": 2, "j": 5}]
+
+
+def test_gram_minors_name_the_first_non_positive_minor(monkeypatch):
+    g = [list(row) for row in gram().g]
+    g[3][3] = -g[3][3]  # i3 is orthogonal to the rest: minors 4..8 change sign
+    monkeypatch.setattr(suites, "gram", lambda: GramMatrix(tuple(map(tuple, g))))
+    report = _report("gram-positive-definite-minors")
+    assert report.verdict == "fail"
+    assert [f["minor"] for f in report.failures] == [4, 5, 6, 7, 8]
+
+
+def test_trivolution_order_names_the_corrupted_basis_vector(monkeypatch):
+    tau = suites.trivolution
+    i2 = BASIS[2]
+    monkeypatch.setattr(suites, "trivolution", lambda v: -tau(v) if v == i2 else tau(v))
+    report = _report("trivolution-order-three")
+    assert report.verdict == "fail"
+    assert report.failures == [{"basis": 2}, {"basis": 2, "law": "tau2 = tau o tau"}]
