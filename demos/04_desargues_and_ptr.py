@@ -11,8 +11,8 @@ Run:  python demos/04_desargues_and_ptr.py
 """
 
 from okuboplane import Vec8, mul, ptr_theta
-from okuboplane.algebra import AlgebraKind, E
-from okuboplane.collineation import LinMap8, g2_triple_check
+from okuboplane.algebra import IDENTITY, TAU, AlgebraKind, E
+from okuboplane.collineation import g2_triple_check
 from okuboplane.plane import PLANES
 from okuboplane.theorems import (
     config_incidences,
@@ -55,10 +55,9 @@ print(f"while in the octonionic plane the unit slope fixes every x: e.i1 = "
 
 print()
 print("== quadrangle stabilizer: the related-triple conditions ==")
-ident, tau = LinMap8.identity(), LinMap8.trivolution()
 print(f"(id,  id,  id ) satisfies B(s*x) = C(s)*A(x) with e fixed: "
-      f"{g2_triple_check(ident, ident, ident, trials=100, seed=0)}")
+      f"{g2_triple_check(IDENTITY, IDENTITY, IDENTITY, trials=100, seed=0)}")
 print(f"(tau, tau, tau) satisfies it (tau is an Okubo automorphism):  "
-      f"{g2_triple_check(tau, tau, tau, trials=100, seed=0)}")
+      f"{g2_triple_check(TAU, TAU, TAU, trials=100, seed=0)}")
 print(f"(tau, id,  id ) violates it on a random sample:              "
-      f"{not g2_triple_check(tau, ident, ident, trials=100, seed=0)}")
+      f"{not g2_triple_check(TAU, IDENTITY, IDENTITY, trials=100, seed=0)}")

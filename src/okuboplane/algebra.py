@@ -15,7 +15,7 @@ Everything else is derived from it:
 * the unital product ``x . y = (e*x)*(y*e)`` (octonions, unit ``e``),
 * the para product ``x . y = conj(x) . conj(y)``,
 * conjugation ``conj(x) = <x,e> e - x`` and the order-three map
-  ``tau(x) = <x,e> e - x*e``.
+  ``tau(x) = <x,e> e - x*e``, as exact ``LinMap8`` matrices.
 
 Structure tables for the three products are computed once from the matrix
 model and cached; coordinate-level multiplication expands bilinearly over the
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, _canonical, parse, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, _canonical, parse_list, render
 
 _gcd, _lcm, _new = math.gcd, math.lcm, object.__new__
 
@@ -126,8 +126,8 @@ class Vec8:
         return [render(v) for v in self.c]
 
     @staticmethod
-    def from_json(data: Sequence[str]) -> Vec8:
-        return Vec8(tuple(parse(s) for s in data))
+    def from_json(data: list[str]) -> Vec8:
+        return Vec8(parse_list(data, 8))
 
 
 _set_c = Vec8.c.__set__
@@ -139,6 +139,42 @@ _VEC_BASIS = tuple(
 
 E = _VEC_BASIS[0]
 BASIS = _VEC_BASIS  # e, i1..i7
+
+
+@dataclass(frozen=True)
+class LinMap8:
+    """An exact linear map of the 8-space, given by the images of the basis
+    vectors; each image is also kept sparse as (k, coeff) pairs, like the
+    rows of a structure table.  ``a @ b`` is the composite x -> a(b(x))."""
+
+    images: tuple[Vec8, ...]
+    columns: _SparseRow = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        images = tuple(self.images)
+        if len(images) != 8:
+            raise ValueError("LinMap8 needs the images of the 8 basis vectors")
+        if not all(isinstance(v, Vec8) for v in images):
+            raise TypeError("LinMap8 images must be Vec8")
+        object.__setattr__(self, "images", images)
+        columns = tuple(tuple((k, c) for k, c in enumerate(v.c) if c) for v in images)
+        object.__setattr__(self, "columns", columns)
+
+    @staticmethod
+    def of(f: Callable[[Vec8], Vec8]) -> LinMap8:
+        """The linear map that agrees with ``f`` on the basis."""
+        return LinMap8(tuple(map(f, BASIS)))
+
+    def apply(self, v: Vec8) -> Vec8:
+        out = [QS_ZERO] * 8
+        for vj, column in zip(v.c, self.columns):
+            if vj:
+                for k, coeff in column:
+                    out[k] = out[k] + vj * coeff
+        return Vec8(tuple(out))
+
+    def __matmul__(self, other: LinMap8) -> LinMap8:
+        return LinMap8(tuple(map(self.apply, other.images)))
 
 
 # -- the matrix model over Z[sqrt3, i] ------------------------------------------
@@ -336,7 +372,8 @@ def matrix_to_vec(m: HermMat3) -> Vec8:
 
 
 # Sparse structure table: entry[i][j] is a tuple of (k, coefficient) pairs
-# meaning basis_i o basis_j = sum_k coeff * basis_k.
+# meaning basis_i o basis_j = sum_k coeff * basis_k; row i is the columns of
+# the LinMap8 of left multiplication by basis_i.
 _SparseRow = tuple[tuple[tuple[int, QSqrt3], ...], ...]
 
 
@@ -354,16 +391,6 @@ class StructureTable:
             "basis": list(BASIS_NAMES),
             "products": [[v.to_json() for v in row] for row in self.products],
         }
-
-
-def _sparsify(products: list[list[Vec8]]) -> tuple[_SparseRow, ...]:
-    return tuple(
-        tuple(
-            tuple((k, v.c[k]) for k in range(8) if v.c[k])
-            for v in row
-        )
-        for row in products
-    )
 
 
 def _mul_table(sparse: tuple[_SparseRow, ...], x: Vec8, y: Vec8) -> Vec8:
@@ -400,9 +427,10 @@ def structure_table(kind: AlgebraKind) -> StructureTable:
         products = [[_mul_table(ok, left[i], right[j]) for j in range(8)] for i in range(8)]
     else:
         oct_sparse = structure_table(AlgebraKind.OCTONION).sparse
-        cb = [conjugate_oct(Vec8.basis(i)) for i in range(8)]
+        cb = CONJ.images
         products = [[_mul_table(oct_sparse, cb[i], cb[j]) for j in range(8)] for i in range(8)]
-    return StructureTable(kind, tuple(tuple(row) for row in products), _sparsify(products))
+    sparse = tuple(LinMap8(row).columns for row in products)
+    return StructureTable(kind, tuple(tuple(row) for row in products), sparse)
 
 
 def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
@@ -486,24 +514,22 @@ def polar(x: Vec8, y: Vec8) -> QSqrt3:
     return total
 
 
-def conjugate_oct(x: Vec8) -> Vec8:
-    """Conjugation of the derived unital product: <x,e> e - x."""
-    return E.scale(polar(x, E)) - x
+IDENTITY = LinMap8(BASIS)
+CONJ = LinMap8.of(lambda x: E.scale(polar(x, E)) - x)
+"""Conjugation of the derived unital product: <x,e> e - x."""
+TAU = LinMap8.of(lambda x: E.scale(polar(x, E)) - mul(AlgebraKind.OKUBO, x, E))
+"""The order-three automorphism <x,e> e - x*e (both products respect it)."""
+TAU2 = LinMap8.of(lambda x: mul(AlgebraKind.OKUBO, mul(AlgebraKind.OKUBO, x, E), E))
+"""tau^2(x) = (x*e)*e, the inverse of the trivolution.  Derived from its own
+formula, not as TAU @ TAU, so that tau^2 = tau o tau remains a check."""
+
+conjugate_oct = CONJ.apply
+trivolution = TAU.apply
+trivolution_sq = TAU2.apply
 
 
-def trivolution(x: Vec8) -> Vec8:
-    """The order-three automorphism <x,e> e - x*e (both products respect it)."""
-    return E.scale(polar(x, E)) - mul(AlgebraKind.OKUBO, x, E)
-
-
-def trivolution_sq(x: Vec8) -> Vec8:
-    """tau^2(x) = (x*e)*e, the inverse of the trivolution."""
-    return mul(AlgebraKind.OKUBO, mul(AlgebraKind.OKUBO, x, E), E)
-
-
-@lru_cache(maxsize=1)
 def trivolution_basis_images() -> tuple[Vec8, ...]:
-    return tuple(trivolution(Vec8.basis(k)) for k in range(8))
+    return TAU.images
 
 
 def conventional_trivolution_images() -> tuple[Vec8, ...]:

@@ -15,21 +15,19 @@ the isomorphism is the closed form (tau(conj(y)), tau2(conj(x))).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .algebra import (
-    BASIS,
+    CONJ,
+    TAU,
+    TAU2,
     AlgebraKind,
     E,
+    LinMap8,
     Vec8,
-    conjugate_oct,
     mul,
     random_vec,
     solve_left,
     trial_rng,
-    trivolution,
-    trivolution_basis_images,
-    trivolution_sq,
 )
 from .plane import (
     INFINITY_POINT,
@@ -49,7 +47,6 @@ from .plane import (
     random_affine_point,
 )
 from .report import TheoremReport, pass_report
-from .scalar import QS_ZERO, QSqrt3
 
 
 class KindMismatch(TypeError):
@@ -192,17 +189,17 @@ class Triality(SamePlane):
 
 @dataclass(frozen=True)
 class ChartMap(Collineation):
-    """A map between planes that keeps y and rewrites x by ``f``, slopes by
-    ``g``: (x, y) -> (f(x), y), (s) -> (g(s)), [s, t] -> [g(s), t],
-    [c] -> [f(c)].  The inverse map swaps f and g."""
+    """A map between planes that keeps y and rewrites x by the linear map
+    ``f``, slopes by ``g``: (x, y) -> (f(x), y), (s) -> (g(s)),
+    [s, t] -> [g(s), t], [c] -> [f(c)].  The inverse map swaps f and g."""
 
     label: str
     tag: str  # the descriptor type, for replay
     inverse_tag: str
     source: AlgebraKind
     target: AlgebraKind
-    f: Callable[[Vec8], Vec8]
-    g: Callable[[Vec8], Vec8]
+    f: LinMap8
+    g: LinMap8
 
     @property
     def name(self) -> str:
@@ -210,16 +207,16 @@ class ChartMap(Collineation):
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
-            return AffinePoint(self.f(p.x), p.y)
+            return AffinePoint(self.f.apply(p.x), p.y)
         if isinstance(p, SlopePoint):
-            return SlopePoint(self.g(p.s))
+            return SlopePoint(self.g.apply(p.s))
         return p
 
     def apply_line(self, l: PjLine) -> PjLine:
         if isinstance(l, FiniteLine):
-            return FiniteLine(self.g(l.s), l.t)
+            return FiniteLine(self.g.apply(l.s), l.t)
         if isinstance(l, VerticalLine):
-            return VerticalLine(self.f(l.c))
+            return VerticalLine(self.f.apply(l.c))
         return l
 
     def to_json(self) -> dict:
@@ -229,22 +226,15 @@ class ChartMap(Collineation):
         return CHART_MAPS[self.inverse_tag]
 
 
-def _tau_conj(x: Vec8) -> Vec8:
-    return trivolution(conjugate_oct(x))
-
-
-def _tau2_conj(x: Vec8) -> Vec8:
-    return trivolution_sq(conjugate_oct(x))
-
-
+_TAU_CONJ, _TAU2_CONJ = TAU @ CONJ, TAU2 @ CONJ
 _OK, _PA, _OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
-PHI = ChartMap("Phi", "phi", "phi-inverse", _OK, _OC, _tau2_conj, _tau_conj)
+PHI = ChartMap("Phi", "phi", "phi-inverse", _OK, _OC, _TAU2_CONJ, _TAU_CONJ)
 """Okubo plane -> octonionic plane: (x, y) -> (tau2(conj x), y)."""
-PHI_INV = ChartMap("PhiInv", "phi-inverse", "phi", _OC, _OK, _tau_conj, _tau2_conj)
+PHI_INV = ChartMap("PhiInv", "phi-inverse", "phi", _OC, _OK, _TAU_CONJ, _TAU2_CONJ)
 """Octonionic plane -> Okubo plane: (x, y) -> (tau(conj x), y)."""
-PPHI = ChartMap("PPhi", "pphi", "pphi-inverse", _OK, _PA, trivolution_sq, trivolution)
+PPHI = ChartMap("PPhi", "pphi", "pphi-inverse", _OK, _PA, TAU2, TAU)
 """Okubo plane -> para-octonionic plane: (x, y) -> (tau2(x), y)."""
-PPHI_INV = ChartMap("PPhiInv", "pphi-inverse", "pphi", _PA, _OK, trivolution, trivolution_sq)
+PPHI_INV = ChartMap("PPhiInv", "pphi-inverse", "pphi", _PA, _OK, TAU, TAU2)
 """Para-octonionic plane -> Okubo plane: (x, y) -> (tau(x), y)."""
 CHART_MAPS = {c.tag: c for c in (PHI, PHI_INV, PPHI, PPHI_INV)}
 
@@ -412,42 +402,7 @@ def transported_reflection_closed_form(p: PjPoint) -> AffinePoint:
     """(x, y) -> (tau(conj y), tau2(conj x)); affine points only."""
     if not isinstance(p, AffinePoint):
         raise InfiniteElement("closed form is stated for affine points")
-    return AffinePoint(_tau_conj(p.y), _tau2_conj(p.x))
-
-
-@dataclass(frozen=True)
-class LinMap8:
-    """An 8x8 exact matrix acting on coordinates; rows of QSqrt3."""
-
-    rows: Sequence[Sequence[QSqrt3]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
-            raise ValueError("LinMap8 needs an 8x8 matrix")
-
-    @classmethod
-    def identity(cls) -> LinMap8:
-        return cls.from_basis_images(BASIS)
-
-    @classmethod
-    def from_basis_images(cls, images: Sequence[Vec8]) -> LinMap8:
-        """Columns are the images of the basis vectors."""
-        return cls([[images[j].c[i] for j in range(8)] for i in range(8)])
-
-    @classmethod
-    def trivolution(cls) -> LinMap8:
-        return cls.from_basis_images(trivolution_basis_images())
-
-    def apply(self, v: Vec8) -> Vec8:
-        out = []
-        for row in self.rows:
-            acc = QS_ZERO
-            for rij, vj in zip(row, v.c):
-                if rij and vj:
-                    acc = acc + rij * vj
-            out.append(acc)
-        return Vec8(tuple(out))
+    return AffinePoint(_TAU_CONJ.apply(p.y), _TAU2_CONJ.apply(p.x))
 
 
 def g2_triple_check(a: LinMap8, b: LinMap8, c: LinMap8, trials: int, seed: int) -> bool:

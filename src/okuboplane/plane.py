@@ -34,7 +34,7 @@ from .algebra import (
     solve_left,
     solve_right,
 )
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, parse, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, parse_list, render
 
 
 class EqualPoints(ValueError):
@@ -191,9 +191,11 @@ class VeroneseVec:
 
     @staticmethod
     def from_json(data: dict) -> VeroneseVec:
-        xs = [Vec8.from_json(v) for v in data["x"]]
-        ls = [parse(v) for v in data["l"]]
-        return VeroneseVec(xs[0], xs[1], xs[2], ls[0], ls[1], ls[2])
+        if not (isinstance(data, dict) and set(data) == {"x", "l"}
+                and isinstance(data["x"], list) and len(data["x"]) == 3):
+            raise ValueError(f"expected {{'x': [3 vectors], 'l': [3 scalars]}}, not {data!r}")
+        x1, x2, x3 = map(Vec8.from_json, data["x"])
+        return VeroneseVec(x1, x2, x3, *parse_list(data["l"], 3))
 
 
 def beta(v: VeroneseVec, w: VeroneseVec) -> QSqrt3:

@@ -260,3 +260,11 @@ def parse(text: str) -> QSqrt3:
     if a is None and b is None:
         raise ValueError("empty Q(sqrt 3) scalar")
     return QSqrt3(a or 0, b or 0)
+
+
+def parse_list(data: object, n: int) -> tuple[QSqrt3, ...]:
+    """Parse replayed JSON that must be a list of exactly ``n`` scalar
+    strings; ``ValueError`` on anything else."""
+    if not (isinstance(data, list) and len(data) == n and all(isinstance(s, str) for s in data)):
+        raise ValueError(f"expected a list of {n} scalar strings, not {data!r}")
+    return tuple(map(parse, data))

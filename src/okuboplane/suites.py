@@ -21,6 +21,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from . import theorems
 from .algebra import (
     BASIS,
+    IDENTITY,
+    TAU,
     AlgebraKind,
     E,
     Vec8,
@@ -49,7 +51,6 @@ from .collineation import (
     PHI_INV,
     PPHI,
     PPHI_INV,
-    LinMap8,
     OctReflection,
     Shear,
     Translation,
@@ -642,38 +643,36 @@ suite_ptr = _suite(PTR_ROWS, PLANES.__getitem__)
 # -- g2 (the Okubo product, whatever --kind says) -------------------------------------
 
 def _g2_accepts(maps):
-    """Scan: g2_triple_check accepts the triple ``maps()``."""
+    """Scan: g2_triple_check accepts the triple ``maps``."""
 
     def scan(kind, n, seed):
-        if not g2_triple_check(*maps(), trials=n, seed=seed):
+        if not g2_triple_check(*maps, trials=n, seed=seed):
             yield {"reason": "triple condition violated"}
 
     return scan
 
 
 def _g2_mixed_fails(kind, trials, seed):
-    ident, tau = LinMap8.identity(), LinMap8.trivolution()
-
     def witnesses():
         for i in range(trials):
             rng = trial_rng(seed, i)
             x, s = random_vec(rng), random_vec(rng)
             # (A, B, C) = (tau, id, id): B(s*x) = s*x against C(s)*A(x) = s*tau(x)
-            if mul(kind, s, x) != mul(kind, s, tau.apply(x)):
+            if mul(kind, s, x) != mul(kind, s, TAU.apply(x)):
                 yield {"s": s.to_json(), "x": x.to_json()}
 
     report = witness_report(
         "g2-triple-mixed-fails", kind, seed, trials, witnesses,
         "sample violating B(s*x) = C(s)*A(x) for (tau, id, id)",
     )
-    if g2_triple_check(tau, ident, ident, trials=trials, seed=seed):
+    if g2_triple_check(TAU, IDENTITY, IDENTITY, trials=trials, seed=seed):
         report.failures.append({"reason": "g2_triple_check accepted (tau, id, id)"})
     return report
 
 
 G2_ROWS = (
-    Scan("g2-triple-identity", (OK,), _g2_accepts(lambda: (LinMap8.identity(),) * 3)),
-    Scan("g2-triple-trivolution", (OK,), _g2_accepts(lambda: (LinMap8.trivolution(),) * 3)),
+    Scan("g2-triple-identity", (OK,), _g2_accepts((IDENTITY,) * 3)),
+    Scan("g2-triple-trivolution", (OK,), _g2_accepts((TAU,) * 3)),
     Build((OK,), _g2_mixed_fails),
 )
 suite_g2 = _suite(G2_ROWS, kinds=lambda kind: [OK])

@@ -66,11 +66,15 @@ class DesarguesConfig:
 
     @staticmethod
     def from_json(data: dict) -> DesarguesConfig:
-        """Inverse of to_json; ``axis`` is the one line, l1 may be absent."""
+        """Inverse of to_json; ``axis`` is the one line, l1 may be absent.
+        Any other missing key, or an unknown one, raises ``ValueError``."""
+        names = {f.name for f in fields(DesarguesConfig)}
+        if not (isinstance(data, dict) and names - {"l1"} <= data.keys() <= names):
+            got = sorted(data) if isinstance(data, dict) else data
+            raise ValueError(f"expected the keys {sorted(names)}, l1 optional, not {got!r}")
         return DesarguesConfig(**{
-            f.name: (line_from_json if f.name == "axis" else point_from_json)(data[f.name])
-            for f in fields(DesarguesConfig)
-            if f.name in data
+            name: (line_from_json if name == "axis" else point_from_json)(value)
+            for name, value in data.items()
         })
 
 

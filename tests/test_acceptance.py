@@ -10,6 +10,8 @@ configurations per plane, 1000 trials of full-Desargues falsification.
 import time
 
 from okuboplane.algebra import (
+    IDENTITY,
+    TAU,
     AlgebraKind,
     Vec8,
     check_identity,
@@ -27,7 +29,6 @@ from okuboplane.algebra import (
     trivolution_table_report,
 )
 from okuboplane.collineation import (
-    LinMap8,
     OctReflection,
     PHI,
     PHI_INV,
@@ -194,11 +195,9 @@ def test_c11_ptr_nonlinearity():
 
 
 def test_c12_g2_triple_condition():
-    ident = LinMap8.identity()
-    tau = LinMap8.trivolution()
-    ok = g2_triple_check(ident, ident, ident, trials=200, seed=8)
-    ok &= g2_triple_check(tau, tau, tau, trials=200, seed=8)
-    ok &= not g2_triple_check(tau, ident, ident, trials=200, seed=8)
+    ok = g2_triple_check(IDENTITY, IDENTITY, IDENTITY, trials=200, seed=8)
+    ok &= g2_triple_check(TAU, TAU, TAU, trials=200, seed=8)
+    ok &= not g2_triple_check(TAU, IDENTITY, IDENTITY, trials=200, seed=8)
     _criterion(12, "G2 triple: (id,id,id), (tau,tau,tau) pass; (tau,id,id) fails", ok)
 
 

@@ -8,11 +8,17 @@ import pytest
 
 import okuboplane
 from okuboplane.algebra import (
+    BASIS,
+    CONJ,
+    IDENTITY,
+    TAU,
+    TAU2,
     AlgebraKind,
     BasisDecompositionFailure,
     DivisionByZeroElement,
     E,
     HermMat3,
+    LinMap8,
     RepresentationViolation,
     Vec8,
     basis_matrices,
@@ -369,6 +375,39 @@ def test_trivolution_closed_forms():
         assert conjugate_oct(trivolution(x)) == trivolution(conjugate_oct(x))
 
 
+def test_linear_maps_satisfy_their_laws_exactly():
+    # matrix identities: proofs on the whole space, not samples
+    assert TAU @ TAU @ TAU == IDENTITY
+    assert TAU @ TAU == TAU2
+    assert CONJ @ CONJ == IDENTITY
+    assert TAU @ CONJ == CONJ @ TAU
+    assert TAU.apply(E) == E and CONJ.apply(E) == E
+    assert TAU.images == trivolution_basis_images()
+    assert LinMap8.of(lambda v: v) == IDENTITY
+
+
+def test_linear_map_apply_and_compose():
+    shift = LinMap8(BASIS[1:] + BASIS[:1])  # does not commute with tau
+    assert TAU @ shift != shift @ TAU
+    rng = trial_rng(0, 9)
+    for _ in range(10):
+        v = random_vec(rng)
+        assert IDENTITY.apply(v) == v
+        assert (TAU @ shift).apply(v) == TAU.apply(shift.apply(v))
+    assert CONJ.apply(ZERO) == ZERO
+
+
+@pytest.mark.parametrize(
+    "images, error",
+    [(BASIS[:7], ValueError), (BASIS + BASIS[:1], ValueError),
+     (BASIS[:7] + (BASIS[0].c,), TypeError), (BASIS[:7] + (None,), TypeError)],
+    ids=["seven", "nine", "coordinates", "none"],
+)
+def test_linear_map_rejects_bad_images(images, error):
+    with pytest.raises(error):
+        LinMap8(images)
+
+
 def test_convention_table_comparison_reports_discrepancy():
     report = trivolution_table_report()
     assert report["agrees"] is False
@@ -506,6 +545,16 @@ def test_vec_json_roundtrip():
     for _ in range(10):
         v = random_vec(rng)
         assert Vec8.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize(
+    "data",
+    ["12345678", {str(k): "0" for k in range(8)}, ["0"] * 7, ["0"] * 9, [0] * 8, ("0",) * 8],
+    ids=["string", "dict", "seven", "nine", "ints", "tuple"],
+)
+def test_vec_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError, match="list of 8 scalar strings"):
+        Vec8.from_json(data)
 
 
 def test_vec_repr_names_basis():

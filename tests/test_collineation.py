@@ -1,8 +1,11 @@
 import pytest
 
 from okuboplane.algebra import (
+    IDENTITY,
+    TAU,
     AlgebraKind,
     E,
+    LinMap8,
     Vec8,
     conjugate_oct,
     mul,
@@ -15,7 +18,6 @@ from okuboplane.algebra import (
 from okuboplane.collineation import (
     Composite,
     KindMismatch,
-    LinMap8,
     OctReflection,
     PHI,
     PHI_INV,
@@ -313,28 +315,29 @@ def test_transported_reflection_closed_form_rejects_infinite():
 # -- linear maps and the related-triple condition ---------------------------------------
 
 def test_linmap_identity_and_tau():
-    ident = LinMap8.identity()
-    tau = LinMap8.trivolution()
     v = random_vec(trial_rng(19, 0))
-    assert ident.apply(v) == v
-    assert tau.apply(v) == trivolution(v)
-    assert LinMap8.from_basis_images([Vec8.basis(k) for k in range(8)]) == ident
+    assert IDENTITY.apply(v) == v
+    assert TAU.apply(v) == trivolution(v)
+    assert LinMap8(tuple(Vec8.basis(k) for k in range(8))) == IDENTITY
 
 
 def test_g2_triple_examples():
-    ident = LinMap8.identity()
-    tau = LinMap8.trivolution()
-    assert g2_triple_check(ident, ident, ident, trials=30, seed=0)
-    assert g2_triple_check(tau, tau, tau, trials=30, seed=0)
-    assert not g2_triple_check(tau, ident, ident, trials=30, seed=0)
+    assert g2_triple_check(IDENTITY, IDENTITY, IDENTITY, trials=30, seed=0)
+    assert g2_triple_check(TAU, TAU, TAU, trials=30, seed=0)
+    assert not g2_triple_check(TAU, IDENTITY, IDENTITY, trials=30, seed=0)
 
 
 def test_g2_triple_requires_fixing_e():
     # a map sending e elsewhere fails immediately
-    images = [Vec8.basis((k + 1) % 8) for k in range(8)]
-    shifted = LinMap8.from_basis_images(images)
-    ident = LinMap8.identity()
-    assert not g2_triple_check(shifted, ident, ident, trials=5, seed=0)
+    shifted = LinMap8(tuple(Vec8.basis((k + 1) % 8) for k in range(8)))
+    assert not g2_triple_check(shifted, IDENTITY, IDENTITY, trials=5, seed=0)
+
+
+@pytest.mark.parametrize("chart", [PHI, PPHI], ids=["phi", "pphi"])
+def test_chart_maps_invert_exactly(chart):
+    inverse = chart.invert()
+    assert inverse.f @ chart.f == IDENTITY and chart.f @ inverse.f == IDENTITY
+    assert inverse.g @ chart.g == IDENTITY and chart.g @ inverse.g == IDENTITY
 
 
 # -- descriptors ---------------------------------------------------------------------

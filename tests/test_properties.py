@@ -20,7 +20,11 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from okuboplane.algebra import (  # noqa: E402
+    CONJ,
+    TAU,
+    TAU2,
     AlgebraKind,
+    E,
     HermMat3,
     Vec8,
     _matmul,
@@ -251,3 +255,11 @@ def test_matrix_oracle_on_drawn_vectors(x, y):
     mx, my = vec_to_matrix(x), vec_to_matrix(y)
     assert matrix_to_vec(okubo_matrix_mul(mx, my)) == mul(AlgebraKind.OKUBO, x, y)
     assert matrix_polar(mx, my) == polar(x, y)
+
+
+@given(x=vectors)
+def test_linear_maps_match_their_formulas(x):
+    ok = AlgebraKind.OKUBO
+    assert CONJ.apply(x) == E.scale(polar(x, E)) - x
+    assert TAU.apply(x) == E.scale(polar(x, E)) - mul(ok, x, E)
+    assert TAU2.apply(x) == mul(ok, mul(ok, x, E), E)

@@ -83,6 +83,18 @@ def test_witness_replays_from_serialized_form():
     assert not plane.incident(l1, replayed.axis)
 
 
+@pytest.mark.parametrize("rename", [("l1", "L1"), ("axis", "Axis"), ("a", None)],
+                         ids=["typo-l1", "typo-axis", "missing-a"])
+def test_witness_replay_rejects_wrong_keys(rename):
+    data = desargues_falsify(OKUBO_PLANE, seed=3, max_trials=50).to_json()
+    old, new = rename
+    value = data.pop(old)
+    if new is not None:
+        data[new] = value
+    with pytest.raises(ValueError, match="expected the keys"):
+        DesarguesConfig.from_json(data)
+
+
 def test_degenerate_config_detected():
     # two triangles squashed onto one line: cb and c'b' coincide
     plane = OKUBO_PLANE
