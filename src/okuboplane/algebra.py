@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, _canonical, parse_list, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _canonical, parse_list, render
 
 _gcd, _lcm, _new = math.gcd, math.lcm, object.__new__
 
@@ -141,22 +140,21 @@ E = _VEC_BASIS[0]
 BASIS = _VEC_BASIS  # e, i1..i7
 
 
-@dataclass(frozen=True)
-class LinMap8:
+class LinMap8(Frozen):
     """An exact linear map of the 8-space, given by the images of the basis
     vectors; each image is also kept sparse as (k, coeff) pairs, like the
     rows of a structure table.  ``a @ b`` is the composite x -> a(b(x))."""
 
-    images: tuple[Vec8, ...]
-    columns: _SparseRow = field(init=False, repr=False, compare=False)
+    __slots__ = ("images", "columns")
+    _fields = ("images",)  # the columns are derived from the images
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
+    def __init__(self, images: Sequence[Vec8]) -> None:
+        images = tuple(images)
         if len(images) != 8:
             raise ValueError("LinMap8 needs the images of the 8 basis vectors")
         if not all(isinstance(v, Vec8) for v in images):
             raise TypeError("LinMap8 images must be Vec8")
-        object.__setattr__(self, "images", images)
+        Frozen.__init__(self, images)
         columns = tuple(tuple((k, c) for k, c in enumerate(v.c) if c) for v in images)
         object.__setattr__(self, "columns", columns)
 
@@ -208,8 +206,7 @@ def entry_conj(u: Entry) -> Entry:
 SIX_MU_BAR = entry_conj(SIX_MU)
 
 
-@dataclass(frozen=True, slots=True)
-class HermMat3:
+class HermMat3(Frozen):
     """A 3x3 matrix over Q(sqrt3, i): one integer denominator ``den`` and nine
     row-major integer entries, entry ``(a, b, c, d)`` meaning
     ``(a + b*sqrt3 + i*(c + d*sqrt3)) / den``.
@@ -220,22 +217,20 @@ class HermMat3:
     (``ZeroDivisionError``).
     """
 
-    den: int
-    entries: tuple[Entry, ...]
+    __slots__ = ("den", "entries")
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(u) for u in self.entries)
+    def __init__(self, den: int, entries: Sequence[Entry]) -> None:
+        entries = tuple(tuple(u) for u in entries)
         if len(entries) != 9 or any(len(u) != 4 for u in entries):
             raise TypeError("HermMat3 takes nine entries of four ints each")
-        if any(type(n) is not int for n in (self.den, *(n for u in entries for n in u))):
+        if any(type(n) is not int for n in (den, *(n for u in entries for n in u))):
             raise TypeError("HermMat3 components must be int")
-        if self.den == 0:
+        if den == 0:
             raise ZeroDivisionError("HermMat3 with zero denominator")
-        _fill(self, self.den, entries)
+        _fill(self, den, entries)
 
 
-_set_den = HermMat3.den.__set__
-_set_entries = HermMat3.entries.__set__
+_set_den, _set_entries = HermMat3._setters
 
 
 def _fill(m: HermMat3, den: int, entries) -> HermMat3:
@@ -377,13 +372,10 @@ def matrix_to_vec(m: HermMat3) -> Vec8:
 _SparseRow = tuple[tuple[tuple[int, QSqrt3], ...], ...]
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(Frozen):
     """Structure constants of one product, derived from the matrix model."""
 
-    kind: AlgebraKind
-    products: tuple[tuple[Vec8, ...], ...]
-    sparse: tuple[_SparseRow, ...]
+    __slots__ = ("kind", "products", "sparse")
 
     def to_json(self) -> dict:
         return {
@@ -438,11 +430,10 @@ def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
     return _mul_table(structure_table(kind).sparse, x, y)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Frozen):
     """g[i][j] = <basis_i, basis_j>, derived from matrix traces."""
 
-    g: tuple[tuple[QSqrt3, ...], ...]
+    __slots__ = ("g",)
 
     def leading_minors(self) -> list[QSqrt3]:
         """Exact determinants of the 8 leading principal submatrices."""

@@ -14,8 +14,6 @@ the isomorphism is the closed form (tau(conj(y)), tau2(conj(x))).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     CONJ,
     TAU,
@@ -47,6 +45,7 @@ from .plane import (
     random_affine_point,
 )
 from .report import TheoremReport, pass_report
+from .scalar import Frozen, json_tag
 
 
 class KindMismatch(TypeError):
@@ -56,6 +55,7 @@ class KindMismatch(TypeError):
 class Collineation:
     """Base: a plane map with fixed source and target kinds."""
 
+    __slots__ = ()
     source: AlgebraKind
     target: AlgebraKind
 
@@ -89,6 +89,7 @@ class Collineation:
 class SamePlane(Collineation):
     """A collineation of the plane of ``self.kind`` onto itself."""
 
+    __slots__ = ()
     kind: AlgebraKind
 
     @property
@@ -100,13 +101,10 @@ class SamePlane(Collineation):
         return self.kind
 
 
-@dataclass(frozen=True)
-class Translation(SamePlane):
+class Translation(Frozen, SamePlane):
     """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
 
-    kind: AlgebraKind
-    a: Vec8
-    b: Vec8
+    __slots__ = ("kind", "a", "b")
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
@@ -128,12 +126,10 @@ class Translation(SamePlane):
         return Translation(self.kind, -self.a, -self.b)
 
 
-@dataclass(frozen=True)
-class Shear(SamePlane):
+class Shear(Frozen, SamePlane):
     """(x, y) -> (x, y + a o x); axis [0], center the infinity point."""
 
-    kind: AlgebraKind
-    a: Vec8
+    __slots__ = ("kind", "a")
 
     def apply_point(self, p: PjPoint) -> PjPoint:
         if isinstance(p, AffinePoint):
@@ -154,20 +150,19 @@ class Shear(SamePlane):
         return Shear(self.kind, -self.a)
 
 
-@dataclass(frozen=True)
-class Triality(SamePlane):
+class Triality(Frozen, SamePlane):
     """Cyclic shift of Veronese coordinates, read back on the affine chart.
 
     Defined on the Okubo and para planes, whose Veronese conditions are
     themselves invariant under the shift; the octonionic conditions are not.
     """
 
-    kind: AlgebraKind = AlgebraKind.OKUBO
-    inverse: bool = False
+    __slots__ = ("kind", "inverse")
 
-    def __post_init__(self) -> None:
-        if self.kind is AlgebraKind.OCTONION:
+    def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
+        if kind is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
+        Frozen.__init__(self, kind, inverse)
 
     def _shift(self, v: VeroneseVec) -> VeroneseVec:
         return v.cyclic().cyclic() if self.inverse else v.cyclic()
@@ -187,19 +182,13 @@ class Triality(SamePlane):
         return Triality(self.kind, not self.inverse)
 
 
-@dataclass(frozen=True)
-class ChartMap(Collineation):
+class ChartMap(Frozen, Collineation):
     """A map between planes that keeps y and rewrites x by the linear map
     ``f``, slopes by ``g``: (x, y) -> (f(x), y), (s) -> (g(s)),
-    [s, t] -> [g(s), t], [c] -> [f(c)].  The inverse map swaps f and g."""
+    [s, t] -> [g(s), t], [c] -> [f(c)].  The inverse map swaps f and g.
+    ``tag`` and ``inverse_tag`` are the descriptor types, for replay."""
 
-    label: str
-    tag: str  # the descriptor type, for replay
-    inverse_tag: str
-    source: AlgebraKind
-    target: AlgebraKind
-    f: LinMap8
-    g: LinMap8
+    __slots__ = ("label", "tag", "inverse_tag", "source", "target", "f", "g")
 
     @property
     def name(self) -> str:
@@ -239,8 +228,7 @@ PPHI_INV = ChartMap("PPhiInv", "pphi-inverse", "pphi", _PA, _OK, TAU, TAU2)
 CHART_MAPS = {c.tag: c for c in (PHI, PHI_INV, PPHI, PPHI_INV)}
 
 
-@dataclass(frozen=True)
-class OctReflection(SamePlane):
+class OctReflection(Frozen, SamePlane):
     """The octonionic swap (x, y) -> (y, x), extended projectively.
 
     On slopes it inverts: (s) -> (s^-1), (0) <-> (inf).  Line images follow
@@ -248,6 +236,7 @@ class OctReflection(SamePlane):
     set-wise and [0] goes to the x axis [0, 0].
     """
 
+    __slots__ = ()
     kind = AlgebraKind.OCTONION
 
     def apply_point(self, p: PjPoint) -> PjPoint:
@@ -276,20 +265,20 @@ class OctReflection(SamePlane):
         return OctReflection()
 
 
-@dataclass(frozen=True)
-class Composite(Collineation):
+class Composite(Frozen, Collineation):
     """Left-to-right chain of collineations with matching kinds."""
 
-    steps: tuple[Collineation, ...]
+    __slots__ = ("steps",)
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, steps: tuple[Collineation, ...]) -> None:
+        if not steps:
             raise ValueError("empty composite")
-        for first, second in zip(self.steps, self.steps[1:]):
+        for first, second in zip(steps, steps[1:]):
             if first.target is not second.source:
                 raise KindMismatch(
                     f"cannot chain {first.target.value} -> {second.source.value}"
                 )
+        Frozen.__init__(self, steps)
 
     @property
     def source(self) -> AlgebraKind:
@@ -324,9 +313,17 @@ def compose(*colls: Collineation) -> Composite:
     return Composite(tuple(steps))
 
 
+# the keys of each descriptor type besides "type"
+_DESCRIPTOR_KEYS = {"translation": ("kind", "a", "b"), "shear": ("kind", "a"),
+                    "triality": ("kind", "inverse"), "composite": ("steps",),
+                    "octonion-reflection": (), **dict.fromkeys(CHART_MAPS, ())}
+
+
 def collineation_from_json(data: dict) -> Collineation:
-    """Rebuild a collineation from its descriptor, for report replay."""
-    tag = data["type"]
+    """Rebuild a collineation from its descriptor, for report replay;
+    ``ValueError`` unless ``data`` is a dict with exactly the keys its
+    ``type`` needs."""
+    tag = json_tag(data, "type", _DESCRIPTOR_KEYS)
     if tag == "translation":
         return Translation(
             AlgebraKind(data["kind"]), Vec8.from_json(data["a"]), Vec8.from_json(data["b"])
@@ -342,9 +339,9 @@ def collineation_from_json(data: dict) -> Collineation:
         return CHART_MAPS[tag]
     if tag == "octonion-reflection":
         return OctReflection()
-    if tag == "composite":
-        return Composite(tuple(collineation_from_json(s) for s in data["steps"]))
-    raise ValueError(f"unknown collineation descriptor {tag!r}")
+    if not isinstance(data["steps"], list):
+        raise ValueError(f"composite steps must be a list, not {data['steps']!r}")
+    return Composite(tuple(collineation_from_json(s) for s in data["steps"]))
 
 
 def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremReport:

@@ -19,7 +19,6 @@ the unique placement under which point images, line data and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Union
 
 from .algebra import (
@@ -34,7 +33,7 @@ from .algebra import (
     solve_left,
     solve_right,
 )
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, QSqrt3, parse_list, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, json_tag, parse_list, render
 
 
 class EqualPoints(ValueError):
@@ -58,10 +57,8 @@ class PostconditionViolation(ArithmeticError):
     (an arithmetic bug); raised explicitly so that ``python -O`` keeps it."""
 
 
-@dataclass(frozen=True)
-class AffinePoint:
-    x: Vec8
-    y: Vec8
+class AffinePoint(Frozen):
+    __slots__ = ("x", "y")
 
     def to_json(self) -> dict:
         return {"t": "affine", "x": self.x.to_json(), "y": self.y.to_json()}
@@ -70,11 +67,10 @@ class AffinePoint:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class SlopePoint:
+class SlopePoint(Frozen):
     """The point at infinity shared by all lines of slope s."""
 
-    s: Vec8
+    __slots__ = ("s",)
 
     def to_json(self) -> dict:
         return {"t": "slope", "s": self.s.to_json()}
@@ -83,9 +79,10 @@ class SlopePoint:
         return f"({self.s})"
 
 
-@dataclass(frozen=True)
-class InfinityPoint:
+class InfinityPoint(Frozen):
     """The point at infinity of vertical lines and of the line at infinity."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"t": "infinity"}
@@ -94,12 +91,10 @@ class InfinityPoint:
         return "(inf)"
 
 
-@dataclass(frozen=True)
-class FiniteLine:
+class FiniteLine(Frozen):
     """[s, t] = all points (x, s o x + t)."""
 
-    s: Vec8
-    t: Vec8
+    __slots__ = ("s", "t")
 
     def to_json(self) -> dict:
         return {"t": "line", "slope": self.s.to_json(), "offset": self.t.to_json()}
@@ -108,11 +103,10 @@ class FiniteLine:
         return f"[{self.s}, {self.t}]"
 
 
-@dataclass(frozen=True)
-class VerticalLine:
+class VerticalLine(Frozen):
     """[c] = {c} x algebra."""
 
-    c: Vec8
+    __slots__ = ("c",)
 
     def to_json(self) -> dict:
         return {"t": "vertical", "c": self.c.to_json()}
@@ -121,8 +115,9 @@ class VerticalLine:
         return f"[{self.c}]"
 
 
-@dataclass(frozen=True)
-class LineAtInfinity:
+class LineAtInfinity(Frozen):
+    __slots__ = ()
+
     def to_json(self) -> dict:
         return {"t": "line-at-infinity"}
 
@@ -138,37 +133,31 @@ LINE_AT_INFINITY = LineAtInfinity()
 
 
 def point_from_json(data: dict) -> PjPoint:
-    tag = data["t"]
+    """Inverse of ``to_json``: ``ValueError`` unless the keys fit the tag."""
+    tag = json_tag(data, "t", {"affine": ("x", "y"), "slope": ("s",), "infinity": ()})
     if tag == "affine":
         return AffinePoint(Vec8.from_json(data["x"]), Vec8.from_json(data["y"]))
     if tag == "slope":
         return SlopePoint(Vec8.from_json(data["s"]))
-    if tag == "infinity":
-        return INFINITY_POINT
-    raise ValueError(f"unknown point tag {tag!r}")
+    return INFINITY_POINT
 
 
 def line_from_json(data: dict) -> PjLine:
-    tag = data["t"]
+    """Inverse of ``to_json``, as strict as :func:`point_from_json`."""
+    tag = json_tag(
+        data, "t", {"line": ("slope", "offset"), "vertical": ("c",), "line-at-infinity": ()}
+    )
     if tag == "line":
         return FiniteLine(Vec8.from_json(data["slope"]), Vec8.from_json(data["offset"]))
     if tag == "vertical":
         return VerticalLine(Vec8.from_json(data["c"]))
-    if tag == "line-at-infinity":
-        return LINE_AT_INFINITY
-    raise ValueError(f"unknown line tag {tag!r}")
+    return LINE_AT_INFINITY
 
 
-@dataclass(frozen=True)
-class VeroneseVec:
+class VeroneseVec(Frozen):
     """A vector (x1, x2, x3; l1, l2, l3) of the 27-dimensional model space."""
 
-    x1: Vec8
-    x2: Vec8
-    x3: Vec8
-    l1: QSqrt3
-    l2: QSqrt3
-    l3: QSqrt3
+    __slots__ = ("x1", "x2", "x3", "l1", "l2", "l3")
 
     def scale(self, s: QSqrt3) -> VeroneseVec:
         return VeroneseVec(
@@ -214,12 +203,11 @@ def qform(v: VeroneseVec) -> QSqrt3:
     )
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(Frozen):
     """One of the three planes; the kind selects product, slope/meet formulas
     and the Veronese variant."""
 
-    kind: AlgebraKind
+    __slots__ = ("kind",)
 
     def mul(self, x: Vec8, y: Vec8) -> Vec8:
         return mul(self.kind, x, y)

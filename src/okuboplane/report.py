@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import AlgebraKind
@@ -26,16 +25,18 @@ from .plane import PostconditionViolation
 Outcomes = Callable[[], Iterable[Optional[dict]]]
 
 
-@dataclass
 class TheoremReport:
-    name: str
-    kind: str
-    seed: int
-    trials: int
-    mode: str = "expect-pass"  # or "expect-witness"
-    failures: list[dict] = field(default_factory=list)
-    witnesses: list[dict] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    """One named report; ``mode`` is "expect-pass" or "expect-witness"."""
+
+    def __init__(
+        self, *, name: str, kind: str, seed: int, trials: int, mode: str = "expect-pass",
+        failures: Optional[list[dict]] = None, witnesses: Optional[list[dict]] = None,
+        elapsed_ms: float = 0.0,
+    ) -> None:
+        self.name, self.kind, self.seed, self.trials, self.mode = name, kind, seed, trials, mode
+        self.failures = [] if failures is None else failures
+        self.witnesses = [] if witnesses is None else witnesses
+        self.elapsed_ms = elapsed_ms
 
     @property
     def verdict(self) -> str:

@@ -19,10 +19,61 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 
 class ZeroInverse(ZeroDivisionError):
     """Raised when inverting the zero element of Q(sqrt 3)."""
+
+
+class Frozen:
+    """Immutable value type, with no generated code.  The fields are the
+    ``__slots__`` (or a ``_fields`` prefix, when later slots are derived),
+    given by position or name; ``_optional`` ones default to ``None``.  Equal
+    means the same type with equal fields; the hash is the field tuple's."""
+
+    __slots__ = ()
+    _optional: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        get = attrgetter(*fields) if fields else lambda v: ()
+        cls._values = staticmethod(get if len(fields) != 1 else lambda v: (get(v),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for setter, value in zip(setters, args):
+            setter(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        fields = self._fields
+        values = {**dict.fromkeys(self._optional), **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or values.keys() != set(fields) or any(
+                key in fields[:len(args)] for key in kwargs):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}, optional"
+                            f" {self._optional}, not {len(args)} values and {sorted(kwargs)}")
+        return [values[f] for f in fields]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({pairs})"
 
 
 _SQRT3_FLOAT = math.sqrt(3.0)
@@ -268,3 +319,13 @@ def parse_list(data: object, n: int) -> tuple[QSqrt3, ...]:
     if not (isinstance(data, list) and len(data) == n and all(isinstance(s, str) for s in data)):
         raise ValueError(f"expected a list of {n} scalar strings, not {data!r}")
     return tuple(map(parse, data))
+
+
+def json_tag(data: object, key: str, shapes: dict[str, tuple[str, ...]]) -> str:
+    """The tag ``data[key]`` of replayed JSON, which must be a dict with
+    exactly the keys ``key`` and ``shapes[tag]``; ``ValueError`` otherwise."""
+    tag = data.get(key) if isinstance(data, dict) else None
+    if not (isinstance(tag, str) and tag in shapes and data.keys() == {key, *shapes[tag]}):
+        raise ValueError(f"expected a dict whose {key!r} is one of {sorted(shapes)}, with"
+                         f" exactly the keys that tag needs, not {data!r}")
+    return tag

@@ -11,7 +11,6 @@ Okubo plane, and the basis pair showing it is not linear, close the module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Optional
 
@@ -30,6 +29,7 @@ from .plane import (
     random_affine_point,
     random_affine_point_on,
 )
+from .scalar import Frozen
 
 
 class DegenerateConfig(ValueError):
@@ -43,32 +43,23 @@ class DegenerateAfterRetries(RuntimeError):
 _RETRIES = 64
 
 
-@dataclass(frozen=True)
-class DesarguesConfig:
+class DesarguesConfig(Frozen):
     """Two triangles a b c and a' b' c' perspective from ``center``, with the
-    side intersections l2, l3 already placed on ``axis`` by construction."""
+    side intersections l2, l3 already placed on ``axis`` by construction
+    and, optionally, the deciding intersection l1."""
 
-    center: PjPoint
-    axis: PjLine
-    a: PjPoint
-    b: PjPoint
-    c: PjPoint
-    a1: PjPoint
-    b1: PjPoint
-    c1: PjPoint
-    l2: PjPoint
-    l3: PjPoint
-    l1: Optional[PjPoint] = None
+    __slots__ = ("center", "axis", "a", "b", "c", "a1", "b1", "c1", "l2", "l3", "l1")
+    _optional = ("l1",)
 
     def to_json(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        values = zip(self.__slots__, self._values(self))
         return {name: v.to_json() for name, v in values if v is not None}
 
     @staticmethod
     def from_json(data: dict) -> DesarguesConfig:
         """Inverse of to_json; ``axis`` is the one line, l1 may be absent.
         Any other missing key, or an unknown one, raises ``ValueError``."""
-        names = {f.name for f in fields(DesarguesConfig)}
+        names = set(DesarguesConfig.__slots__)
         if not (isinstance(data, dict) and names - {"l1"} <= data.keys() <= names):
             got = sorted(data) if isinstance(data, dict) else data
             raise ValueError(f"expected the keys {sorted(names)}, l1 optional, not {got!r}")
@@ -188,7 +179,7 @@ def desargues_falsify(
         except DegenerateConfig:
             continue
         if not plane.incident(l1, cfg.axis):
-            return replace(cfg, l1=l1)
+            return DesarguesConfig(*cfg._values(cfg)[:-1], l1)
     return None
 
 

@@ -372,6 +372,26 @@ def test_collineation_descriptor_rejects_unknown():
         collineation_from_json({"type": "homothety"})
 
 
+_SHEAR = {"type": "shear", "kind": "okubo", "a": ["0"] * 8}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], "phi", {"type": "shear"}, {"type": "shear", "kind": "okubo"}, {**_SHEAR, "extra": 1},
+     {"type": "phi", "x": 1}, {"type": "octonion-reflection", "kind": "octonion"},
+     {"type": "composite", "steps": {"type": "phi"}}, {"type": "composite", "steps": 3},
+     {"type": "composite", "steps": [{"type": "phi"}, {**_SHEAR, "extra": 1}]},
+     {"type": ["phi"]}],
+    ids=["empty", "list", "string", "shear-bare", "shear-missing-a", "shear-extra", "phi-extra",
+         "reflection-extra", "steps-dict", "steps-int", "bad-step", "list-tag"],
+)
+def test_collineation_descriptor_rejects_malformed_input(data):
+    from okuboplane.collineation import collineation_from_json
+
+    with pytest.raises(ValueError):
+        collineation_from_json(data)
+
+
 @pytest.mark.parametrize("inverse", ["false", 0, None])
 def test_triality_descriptor_rejects_non_bool_inverse(inverse):
     from okuboplane.collineation import collineation_from_json
@@ -383,5 +403,5 @@ def test_triality_descriptor_rejects_non_bool_inverse(inverse):
 def test_triality_descriptor_requires_inverse():
     from okuboplane.collineation import collineation_from_json
 
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="inverse"):
         collineation_from_json({"type": "triality", "kind": "okubo"})

@@ -358,6 +358,34 @@ def test_point_line_json_roundtrip():
         assert line_from_json(l.to_json()) == l
 
 
+_AFFINE = {"t": "affine", "x": ["0"] * 8, "y": ["1"] + ["0"] * 7}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], "affine", None, {"t": ["affine"]}, {"t": "affine", "x": ["0"] * 8},
+     {**_AFFINE, "junk": 0}, {"t": "slope", "x": ["0"] * 8}, {"t": "infinity", "s": None},
+     {"t": "line-at-infinity"}],
+    ids=["empty", "list", "string", "none", "list-tag", "missing-y", "extra-key", "wrong-key",
+         "infinity-extra", "line-tag"],
+)
+def test_point_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        point_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], {"t": "vertical"}, {"t": "vertical", "c": ["0"] * 8, "s": ["0"] * 8},
+     {"t": "line", "slope": ["0"] * 8}, {"t": "line-at-infinity", "junk": 0}, _AFFINE],
+    ids=["empty", "list", "missing-c", "extra-key", "missing-offset", "infinity-extra",
+         "point-tag"],
+)
+def test_line_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        line_from_json(data)
+
+
 def test_veronese_json_roundtrip():
     rng = trial_rng(29, 0)
     v = OKUBO_PLANE.point_to_veronese(random_affine_point(rng))

@@ -1,5 +1,5 @@
-"""Hypothesis properties of the exact scalars, the matrix model and the
-three products on ``Vec8``.
+"""Hypothesis properties of the exact scalars, the matrix model, the
+three products on ``Vec8`` and the points and lines built on them.
 
 Values are drawn mixed and of large height (components up to ~2^96 over
 denominators up to ~2^80), with exact zeros, integral (denominator 1),
@@ -38,6 +38,14 @@ from okuboplane.algebra import (  # noqa: E402
     solve_left,
     solve_right,
     vec_to_matrix,
+)
+from okuboplane.plane import (  # noqa: E402
+    INFINITY_POINT,
+    LINE_AT_INFINITY,
+    AffinePoint,
+    FiniteLine,
+    SlopePoint,
+    VerticalLine,
 )
 from okuboplane.scalar import (  # noqa: E402
     QS_ONE,
@@ -263,3 +271,24 @@ def test_linear_maps_match_their_formulas(x):
     assert CONJ.apply(x) == E.scale(polar(x, E)) - x
     assert TAU.apply(x) == E.scale(polar(x, E)) - mul(ok, x, E)
     assert TAU2.apply(x) == mul(ok, mul(ok, x, E), E)
+
+
+# -- points and lines: the value-type contract ------------------------------------
+
+points = st.one_of(
+    st.builds(AffinePoint, vectors, vectors), st.builds(SlopePoint, vectors),
+    st.just(INFINITY_POINT),
+)
+lines = st.one_of(
+    st.builds(FiniteLine, vectors, vectors), st.builds(VerticalLine, vectors),
+    st.just(LINE_AT_INFINITY),
+)
+
+
+@given(st.one_of(points, lines), st.one_of(points, lines))
+def test_points_and_lines_rebuild_from_their_fields(v, w):
+    fields = tuple(getattr(v, name) for name in type(v).__slots__)
+    rebuilt = type(v)(*fields)
+    assert rebuilt == v and hash(rebuilt) == hash(v) == hash(fields)
+    same = type(v) is type(w) and fields == tuple(getattr(w, n) for n in type(w).__slots__)
+    assert (v == w) is same and (v != w) is not same

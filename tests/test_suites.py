@@ -2,12 +2,17 @@
 structure table, Gram matrix or trivolution, the row reports a failure that
 names the offending index."""
 
-import dataclasses
-
 import pytest
 
 from okuboplane import suites
-from okuboplane.algebra import BASIS, AlgebraKind, GramMatrix, gram, structure_table
+from okuboplane.algebra import (
+    BASIS,
+    AlgebraKind,
+    GramMatrix,
+    StructureTable,
+    gram,
+    structure_table,
+)
 
 OK = AlgebraKind.OKUBO
 ROWS = {getattr(row, "name", None): row for row in suites.IDENTITY_ROWS}
@@ -28,7 +33,7 @@ def test_structure_oracle_names_a_corrupted_product(monkeypatch):
     table = structure_table(OK)
     products = [list(row) for row in table.products]
     products[2][5] = products[2][5] + BASIS[0]
-    corrupted = dataclasses.replace(table, products=tuple(map(tuple, products)))
+    corrupted = StructureTable(table.kind, tuple(map(tuple, products)), table.sparse)
     monkeypatch.setattr(suites, "structure_table", lambda kind: corrupted)
     report = _report("structure-table-vs-matrix-oracle")
     assert report.verdict == "fail"

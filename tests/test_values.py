@@ -1,0 +1,194 @@
+"""The value-type contract shared by every immutable type built on
+``scalar.Frozen``: construction by position or by name, equality only
+within one type, the hash of the field tuple, no assignment, deletion or
+instance dict, and the dataclass-style repr.  Importing the package
+generates no code, so it never loads ``dataclasses``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import okuboplane
+from okuboplane.algebra import (
+    TAU,
+    AlgebraKind,
+    E,
+    GramMatrix,
+    HermMat3,
+    LinMap8,
+    StructureTable,
+    Vec8,
+    basis_matrices,
+    gram,
+    structure_table,
+)
+from okuboplane.collineation import (
+    PHI,
+    PHI_INV,
+    ChartMap,
+    Composite,
+    KindMismatch,
+    OctReflection,
+    Shear,
+    Translation,
+    Triality,
+    compose,
+)
+from okuboplane.plane import (
+    INFINITY_POINT,
+    LINE_AT_INFINITY,
+    OKUBO_PLANE,
+    AffinePoint,
+    FiniteLine,
+    InfinityPoint,
+    LineAtInfinity,
+    Plane,
+    SlopePoint,
+    VerticalLine,
+    VeroneseVec,
+)
+from okuboplane.report import TheoremReport
+from okuboplane.scalar import QS_ONE, QS_ZERO
+from okuboplane.theorems import DesarguesConfig
+
+OK = AlgebraKind.OKUBO
+ZERO = Vec8.zero()
+I1 = Vec8.basis(1)
+P = AffinePoint(E, I1)
+L = FiniteLine(I1, E)
+NAMES = ("center", "axis", "a", "b", "c", "a1", "b1", "c1", "l2", "l3", "l1")
+
+# one value of each type, with its field names in order
+SAMPLES = [
+    (TAU, ("images",)),
+    (basis_matrices()[5], ("den", "entries")),
+    (structure_table(OK), ("kind", "products", "sparse")),
+    (gram(), ("g",)),
+    (P, ("x", "y")),
+    (SlopePoint(I1), ("s",)),
+    (INFINITY_POINT, ()),
+    (L, ("s", "t")),
+    (VerticalLine(E), ("c",)),
+    (LINE_AT_INFINITY, ()),
+    (OKUBO_PLANE.point_to_veronese(P), ("x1", "x2", "x3", "l1", "l2", "l3")),
+    (OKUBO_PLANE, ("kind",)),
+    (Translation(OK, E, I1), ("kind", "a", "b")),
+    (Shear(OK, I1), ("kind", "a")),
+    (Triality(OK, True), ("kind", "inverse")),
+    (PHI, ("label", "tag", "inverse_tag", "source", "target", "f", "g")),
+    (OctReflection(), ()),
+    (compose(PHI, OctReflection(), PHI_INV), ("steps",)),
+    (DesarguesConfig(P, L, *[P] * 9), NAMES),
+]
+IDS = [type(value).__name__ for value, _ in SAMPLES]
+
+
+def test_samples_cover_every_value_type():
+    assert {type(value) for value, _ in SAMPLES} == {
+        LinMap8, HermMat3, StructureTable, GramMatrix, AffinePoint, SlopePoint,
+        InfinityPoint, FiniteLine, VerticalLine, LineAtInfinity, VeroneseVec, Plane,
+        Translation, Shear, Triality, ChartMap, OctReflection, Composite, DesarguesConfig,
+    }
+
+
+@pytest.mark.parametrize("value, names", SAMPLES, ids=IDS)
+def test_rebuilt_value_is_equal_with_the_field_tuple_hash(value, names):
+    cls, fields = type(value), tuple(getattr(value, name) for name in names)
+    assert cls(*fields) == value
+    assert cls(**dict(zip(names, fields))) == value
+    assert hash(value) == hash(fields) == hash(cls(*fields))
+    shown = ", ".join(f"{name}={field!r}" for name, field in zip(names, fields))
+    assert repr(value) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("value, names", SAMPLES, ids=IDS)
+def test_value_refuses_assignment_and_deletion(value, names):
+    assert not hasattr(value, "__dict__")
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+
+
+@pytest.mark.parametrize("value, names", SAMPLES, ids=IDS)
+def test_bad_constructor_call_raises_type_error(value, names):
+    cls, fields = type(value), [getattr(value, name) for name in names]
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    with pytest.raises(TypeError):
+        cls(*fields, extra=None)
+    if names:
+        with pytest.raises(TypeError):
+            cls(*fields, **{names[0]: fields[0]})
+        if cls is not Triality:  # the only type whose every field has a default
+            with pytest.raises(TypeError):
+                cls()
+
+
+def test_equality_needs_the_same_type():
+    assert AffinePoint(E, I1) != FiniteLine(E, I1)
+    assert SlopePoint(I1) != VerticalLine(I1)
+    assert INFINITY_POINT != LINE_AT_INFINITY and InfinityPoint() == INFINITY_POINT
+    assert AffinePoint(E, I1) != (E, I1)
+    assert AffinePoint(E, I1).__eq__(FiniteLine(E, I1)) is NotImplemented
+    assert Shear(OK, I1) != Translation(OK, I1, ZERO)
+
+
+def test_equality_compares_every_field():
+    v = OKUBO_PLANE.point_to_veronese(P)
+    assert VeroneseVec(v.x1, v.x2, v.x3, v.l1, v.l2, QS_ZERO) != v
+    assert VeroneseVec(v.x1, v.x2, ZERO, v.l1, v.l2, v.l3) != v
+    assert Triality(OK) != Triality(OK, True)
+    assert AffinePoint(E, ZERO) != AffinePoint(ZERO, E)
+    assert VeroneseVec(v.x1, v.x2, v.x3, v.l1, v.l2, v.l3) == v != v.scale(QS_ONE + QS_ONE)
+
+
+def test_desargues_config_without_l1():
+    cfg = DesarguesConfig(P, L, *[P] * 8)
+    assert cfg.l1 is None
+    assert DesarguesConfig(*[getattr(cfg, n) for n in NAMES[:-1]], l1=P).l1 == P
+    assert cfg.to_json().keys() == set(NAMES) - {"l1"}
+
+
+def test_constructor_checks_stay():
+    with pytest.raises(KindMismatch):
+        Triality(AlgebraKind.OCTONION)
+    with pytest.raises(ValueError, match="empty"):
+        Composite(())
+    with pytest.raises(KindMismatch):
+        Composite((PHI, PHI))
+    with pytest.raises(ValueError):
+        LinMap8(TAU.images[:7])
+    with pytest.raises(ZeroDivisionError):
+        HermMat3(0, basis_matrices()[0].entries)
+
+
+def test_linear_map_columns_follow_its_images():
+    rebuilt = LinMap8(list(TAU.images))
+    assert rebuilt == TAU and rebuilt.columns == TAU.columns
+    assert type(rebuilt.images) is tuple
+
+
+def test_theorem_report_takes_keywords_and_fresh_lists():
+    first = TheoremReport(name="r", kind="okubo", seed=0, trials=1)
+    second = TheoremReport(name="r", kind="okubo", seed=0, trials=1)
+    first.failures.append({"i": 0})
+    assert second.failures == [] and first.witnesses is not second.witnesses
+    assert (first.mode, first.elapsed_ms, first.verdict, second.ok) == ("expect-pass", 0.0, "fail", True)
+    with pytest.raises(TypeError):
+        TheoremReport("r", "okubo", 0, 1)
+
+
+def test_import_loads_no_dataclasses():
+    code = "import sys, okuboplane.cli\nprint('dataclasses' in sys.modules)\n"
+    src = str(Path(okuboplane.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
