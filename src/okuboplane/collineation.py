@@ -45,7 +45,7 @@ from .plane import (
     random_affine_point,
 )
 from .report import TheoremReport, pass_report
-from .scalar import Frozen, json_tag
+from .scalar import Frozen
 
 
 class KindMismatch(TypeError):
@@ -66,10 +66,6 @@ class Collineation:
         raise NotImplementedError
 
     def invert(self) -> Collineation:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        """Descriptor sufficient to reconstruct the map (see from_json)."""
         raise NotImplementedError
 
     @property
@@ -118,10 +114,6 @@ class Translation(Frozen, SamePlane):
             return VerticalLine(l.c + self.a)
         return l
 
-    def to_json(self) -> dict:
-        return {"type": "translation", "kind": self.kind.value,
-                "a": self.a.to_json(), "b": self.b.to_json()}
-
     def invert(self) -> Translation:
         return Translation(self.kind, -self.a, -self.b)
 
@@ -142,9 +134,6 @@ class Shear(Frozen, SamePlane):
         if isinstance(l, FiniteLine):
             return FiniteLine(l.s + self.a, l.t)
         return l
-
-    def to_json(self) -> dict:
-        return {"type": "shear", "kind": self.kind.value, "a": self.a.to_json()}
 
     def invert(self) -> Shear:
         return Shear(self.kind, -self.a)
@@ -175,9 +164,6 @@ class Triality(Frozen, SamePlane):
         plane = self.source_plane
         return plane.line_from_veronese(self._shift(plane.line_to_veronese(l)))
 
-    def to_json(self) -> dict:
-        return {"type": "triality", "kind": self.kind.value, "inverse": self.inverse}
-
     def invert(self) -> Triality:
         return Triality(self.kind, not self.inverse)
 
@@ -185,10 +171,10 @@ class Triality(Frozen, SamePlane):
 class ChartMap(Frozen, Collineation):
     """A map between planes that keeps y and rewrites x by the linear map
     ``f``, slopes by ``g``: (x, y) -> (f(x), y), (s) -> (g(s)),
-    [s, t] -> [g(s), t], [c] -> [f(c)].  The inverse map swaps f and g.
-    ``tag`` and ``inverse_tag`` are the descriptor types, for replay."""
+    [s, t] -> [g(s), t], [c] -> [f(c)].  The inverse map swaps the labels,
+    the kinds and f with g."""
 
-    __slots__ = ("label", "tag", "inverse_tag", "source", "target", "f", "g")
+    __slots__ = ("label", "inverse_label", "source", "target", "f", "g")
 
     @property
     def name(self) -> str:
@@ -208,24 +194,20 @@ class ChartMap(Frozen, Collineation):
             return VerticalLine(self.f.apply(l.c))
         return l
 
-    def to_json(self) -> dict:
-        return {"type": self.tag}
-
     def invert(self) -> ChartMap:
-        return CHART_MAPS[self.inverse_tag]
+        return ChartMap(self.inverse_label, self.label, self.target, self.source, self.g, self.f)
 
 
 _TAU_CONJ, _TAU2_CONJ = TAU @ CONJ, TAU2 @ CONJ
 _OK, _PA, _OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
-PHI = ChartMap("Phi", "phi", "phi-inverse", _OK, _OC, _TAU2_CONJ, _TAU_CONJ)
+PHI = ChartMap("Phi", "PhiInv", _OK, _OC, _TAU2_CONJ, _TAU_CONJ)
 """Okubo plane -> octonionic plane: (x, y) -> (tau2(conj x), y)."""
-PHI_INV = ChartMap("PhiInv", "phi-inverse", "phi", _OC, _OK, _TAU_CONJ, _TAU2_CONJ)
+PHI_INV = PHI.invert()
 """Octonionic plane -> Okubo plane: (x, y) -> (tau(conj x), y)."""
-PPHI = ChartMap("PPhi", "pphi", "pphi-inverse", _OK, _PA, TAU2, TAU)
+PPHI = ChartMap("PPhi", "PPhiInv", _OK, _PA, TAU2, TAU)
 """Okubo plane -> para-octonionic plane: (x, y) -> (tau2(x), y)."""
-PPHI_INV = ChartMap("PPhiInv", "pphi-inverse", "pphi", _PA, _OK, TAU, TAU2)
+PPHI_INV = PPHI.invert()
 """Para-octonionic plane -> Okubo plane: (x, y) -> (tau(x), y)."""
-CHART_MAPS = {c.tag: c for c in (PHI, PHI_INV, PPHI, PPHI_INV)}
 
 
 class OctReflection(Frozen, SamePlane):
@@ -257,9 +239,6 @@ class OctReflection(Frozen, SamePlane):
         if isinstance(l, VerticalLine):
             return FiniteLine(Vec8.zero(), l.c)
         return LINE_AT_INFINITY
-
-    def to_json(self) -> dict:
-        return {"type": "octonion-reflection"}
 
     def invert(self) -> OctReflection:
         return OctReflection()
@@ -298,9 +277,6 @@ class Composite(Frozen, Collineation):
             l = step.apply_line(l)
         return l
 
-    def to_json(self) -> dict:
-        return {"type": "composite", "steps": [s.to_json() for s in self.steps]}
-
     def invert(self) -> Composite:
         return Composite(tuple(step.invert() for step in reversed(self.steps)))
 
@@ -311,37 +287,6 @@ def compose(*colls: Collineation) -> Composite:
     for c in colls:
         steps.extend(c.steps if isinstance(c, Composite) else (c,))
     return Composite(tuple(steps))
-
-
-# the keys of each descriptor type besides "type"
-_DESCRIPTOR_KEYS = {"translation": ("kind", "a", "b"), "shear": ("kind", "a"),
-                    "triality": ("kind", "inverse"), "composite": ("steps",),
-                    "octonion-reflection": (), **dict.fromkeys(CHART_MAPS, ())}
-
-
-def collineation_from_json(data: dict) -> Collineation:
-    """Rebuild a collineation from its descriptor, for report replay;
-    ``ValueError`` unless ``data`` is a dict with exactly the keys its
-    ``type`` needs."""
-    tag = json_tag(data, "type", _DESCRIPTOR_KEYS)
-    if tag == "translation":
-        return Translation(
-            AlgebraKind(data["kind"]), Vec8.from_json(data["a"]), Vec8.from_json(data["b"])
-        )
-    if tag == "shear":
-        return Shear(AlgebraKind(data["kind"]), Vec8.from_json(data["a"]))
-    if tag == "triality":
-        inverse = data["inverse"]
-        if not isinstance(inverse, bool):
-            raise ValueError(f"triality inverse must be a bool, not {inverse!r}")
-        return Triality(AlgebraKind(data["kind"]), inverse)
-    if tag in CHART_MAPS:
-        return CHART_MAPS[tag]
-    if tag == "octonion-reflection":
-        return OctReflection()
-    if not isinstance(data["steps"], list):
-        raise ValueError(f"composite steps must be a list, not {data['steps']!r}")
-    return Composite(tuple(collineation_from_json(s) for s in data["steps"]))
 
 
 def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremReport:

@@ -33,7 +33,7 @@ from .algebra import (
     solve_left,
     solve_right,
 )
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, json_tag, parse_list, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, json_tag
 
 
 class EqualPoints(ValueError):
@@ -171,20 +171,6 @@ class VeroneseVec(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.x1) or bool(self.x2) or bool(self.x3) or bool(self.l1) or bool(self.l2) or bool(self.l3)
-
-    def to_json(self) -> dict:
-        return {
-            "x": [self.x1.to_json(), self.x2.to_json(), self.x3.to_json()],
-            "l": [render(self.l1), render(self.l2), render(self.l3)],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> VeroneseVec:
-        if not (isinstance(data, dict) and set(data) == {"x", "l"}
-                and isinstance(data["x"], list) and len(data["x"]) == 3):
-            raise ValueError(f"expected {{'x': [3 vectors], 'l': [3 scalars]}}, not {data!r}")
-        x1, x2, x3 = map(Vec8.from_json, data["x"])
-        return VeroneseVec(x1, x2, x3, *parse_list(data["l"], 3))
 
 
 def beta(v: VeroneseVec, w: VeroneseVec) -> QSqrt3:

@@ -3,15 +3,15 @@
 Every coordinate in this package is a ``QSqrt3`` value ``a + b*sqrt(3)`` with
 rational ``a, b``.  Equality is structural: because sqrt(3) is irrational,
 ``a + b*sqrt(3) = 0`` forces ``a = b = 0``, so component-wise comparison of
-canonical representations decides equality exactly.  Floating point appears
-only in ``__float__`` for report rendering, never in a correctness decision.
+canonical representations decides equality exactly.  ``__float__`` is a
+convenience for interactive use: no report and no decision goes through it.
 
 Internally a value is stored as one integer triple ``(p + q*sqrt3)/d`` with
 ``d > 0`` and ``gcd(p, q, d) = 1``; join/meet/Veronese chains square and
 divide coordinates, so arbitrary-precision integers are mandatory and the
 single shared denominator keeps the gcd work per operation minimal (none
-at all when the denominator is 1).  Values are built by one normaliser,
-``_canonical``, which writes the slots directly.
+at all when the denominator is 1).  Every value, ``QSqrt3(a, b)`` included,
+is built by one normaliser, ``_canonical``, which writes the slots directly.
 """
 
 from __future__ import annotations
@@ -99,19 +99,10 @@ class QSqrt3:
 
     __slots__ = ("p", "q", "d")
 
-    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
+    def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0) -> QSqrt3:
         pa, da = _rational(a)
         qb, db = _rational(b)
-        p, q, d = pa * db, qb * da, da * db
-        if d != 1:
-            g = _gcd(p, q, d)
-            if g > 1:
-                p //= g
-                q //= g
-                d //= g
-        _set_p(self, p)
-        _set_q(self, q)
-        _set_d(self, d)
+        return _canonical(pa * db, qb * da, da * db)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QSqrt3 is immutable")

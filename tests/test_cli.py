@@ -106,6 +106,18 @@ def test_text_format_summary_line(capsys):
     assert "[1 witness(es) found]" in out
 
 
+def test_no_report_goes_through_float(monkeypatch):
+    from okuboplane.scalar import QSqrt3
+
+    def refuse(self):
+        raise AssertionError("a report converted a scalar to float")
+
+    monkeypatch.setattr(QSqrt3, "__float__", refuse)
+    for fmt in ("json", "text"):
+        assert main(["all", "--trials", "2", "--seed", "0", "--format", fmt]) == 0
+    assert main(["dump-tables"]) == 0
+
+
 def _failed(out):
     return {r["name"]: r["failures"] for r in json.loads(out) if r["verdict"] == "fail"}
 

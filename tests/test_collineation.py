@@ -340,68 +340,12 @@ def test_chart_maps_invert_exactly(chart):
     assert inverse.g @ chart.g == IDENTITY and chart.g @ inverse.g == IDENTITY
 
 
-# -- descriptors ---------------------------------------------------------------------
-
-def test_collineation_descriptor_round_trip():
-    from okuboplane.collineation import collineation_from_json
-
-    a, b = _ab(23)
-    samples = [
-        Translation(OK, a, b),
-        Shear(PA, a),
-        Triality(OK),
-        Triality(PA, inverse=True),
-        PHI,
-        PHI_INV,
-        PPHI,
-        PPHI_INV,
-        OctReflection(),
-        compose(PHI, OctReflection(), PHI_INV),
-    ]
-    for coll in samples:
-        rebuilt = collineation_from_json(coll.to_json())
-        assert rebuilt == coll
-        p = random_point(trial_rng(23, 1))
-        assert rebuilt.apply_point(p) == coll.apply_point(p)
-
-
-def test_collineation_descriptor_rejects_unknown():
-    from okuboplane.collineation import collineation_from_json
-
-    with pytest.raises(ValueError):
-        collineation_from_json({"type": "homothety"})
-
-
-_SHEAR = {"type": "shear", "kind": "okubo", "a": ["0"] * 8}
-
-
 @pytest.mark.parametrize(
-    "data",
-    [{}, [], "phi", {"type": "shear"}, {"type": "shear", "kind": "okubo"}, {**_SHEAR, "extra": 1},
-     {"type": "phi", "x": 1}, {"type": "octonion-reflection", "kind": "octonion"},
-     {"type": "composite", "steps": {"type": "phi"}}, {"type": "composite", "steps": 3},
-     {"type": "composite", "steps": [{"type": "phi"}, {**_SHEAR, "extra": 1}]},
-     {"type": ["phi"]}],
-    ids=["empty", "list", "string", "shear-bare", "shear-missing-a", "shear-extra", "phi-extra",
-         "reflection-extra", "steps-dict", "steps-int", "bad-step", "list-tag"],
+    "chart, inverse, names",
+    [(PHI, PHI_INV, ("Phi", "PhiInv")), (PPHI, PPHI_INV, ("PPhi", "PPhiInv"))],
+    ids=["phi", "pphi"],
 )
-def test_collineation_descriptor_rejects_malformed_input(data):
-    from okuboplane.collineation import collineation_from_json
-
-    with pytest.raises(ValueError):
-        collineation_from_json(data)
-
-
-@pytest.mark.parametrize("inverse", ["false", 0, None])
-def test_triality_descriptor_rejects_non_bool_inverse(inverse):
-    from okuboplane.collineation import collineation_from_json
-
-    with pytest.raises(ValueError, match="inverse"):
-        collineation_from_json({"type": "triality", "kind": "okubo", "inverse": inverse})
-
-
-def test_triality_descriptor_requires_inverse():
-    from okuboplane.collineation import collineation_from_json
-
-    with pytest.raises(ValueError, match="inverse"):
-        collineation_from_json({"type": "triality", "kind": "okubo"})
+def test_chart_map_inverse_is_its_named_partner(chart, inverse, names):
+    assert chart.invert() == inverse and inverse.invert() == chart
+    assert (chart.invert().name, inverse.invert().name) == names[::-1]
+    assert (inverse.source, inverse.target) == (chart.target, chart.source)

@@ -10,9 +10,14 @@ digests keeps every report byte-identical apart from the timings.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import okuboplane
 from okuboplane.cli import main
 
 # SHA-256 of the `dump-tables` stdout: structure tables, Gram matrix and the
@@ -70,17 +75,37 @@ def _digest(reports):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("kind", list(GOLDEN))
-def test_all_reports_match_pinned_digests(kind, tmp_path):
-    out = tmp_path / "all.json"
-    main(["all", "--kind", kind, "--seed", "0", "--trials", "3",
-          "--format", "json", "--output", str(out)])
-    reports = json.loads(out.read_text())
+def _all_args(kind, out):
+    return ["all", "--kind", kind, "--seed", "0", "--trials", "3",
+            "--format", "json", "--output", str(out)]
+
+
+def _check_suites(kind, reports):
     start = 0
     for suite, count, digest in GOLDEN[kind]:
         assert _digest(reports[start:start + count]) == digest, f"suite {suite} changed"
         start += count
     assert start == len(reports)
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN))
+def test_all_reports_match_pinned_digests(kind, tmp_path):
+    out = tmp_path / "all.json"
+    main(_all_args(kind, out))
+    _check_suites(kind, json.loads(out.read_text()))
+
+
+def test_reports_match_pinned_digests_under_python_O(tmp_path):
+    # asserts are stripped under -O; the postconditions and reports must not change
+    out = tmp_path / "all.json"
+    code = ("import sys\nfrom okuboplane.cli import main\n"
+            f"sys.exit(main({_all_args('all', out)!r}) if sys.flags.optimize else 3)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(okuboplane.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    _check_suites("all", json.loads(out.read_text()))
 
 
 def test_dump_tables_match_pinned_digest(capsys):

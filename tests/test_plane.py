@@ -386,23 +386,6 @@ def test_line_from_json_rejects_malformed_input(data):
         line_from_json(data)
 
 
-def test_veronese_json_roundtrip():
-    rng = trial_rng(29, 0)
-    v = OKUBO_PLANE.point_to_veronese(random_affine_point(rng))
-    assert VeroneseVec.from_json(v.to_json()) == v
-
-
-@pytest.mark.parametrize(
-    "change",
-    [{"l": "111"}, {"l": ["1", "1"]}, {"x": [["0"] * 8] * 4}, {"y": ["0"]}],
-    ids=["l-string", "two-l", "four-x", "extra-key"],
-)
-def test_veronese_from_json_rejects_malformed_input(change):
-    data = OKUBO_PLANE.point_to_veronese(random_affine_point(trial_rng(29, 0))).to_json()
-    with pytest.raises(ValueError):
-        VeroneseVec.from_json({**data, **change})
-
-
 def test_para_plane_uses_para_product():
     # (x, y) lies on [s, t] in the para plane iff y = conj(s).conj(x) + t
     rng = trial_rng(30, 0)

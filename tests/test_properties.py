@@ -139,6 +139,12 @@ def test_of_is_canonical_component_formula(num, den, sqrt3):
     assert _canonical_parts(QSqrt3.of(num, den, sqrt3=sqrt3)) == ((0, f) if sqrt3 else (f, 0))
 
 
+@example(Fraction(1, 2), Fraction(1, 2))  # p, q, d = 2, 2, 4 before reduction
+@given(rationals, rationals)
+def test_scalar_constructor_stores_the_canonical_triple(a, b):
+    assert _canonical_parts(QSqrt3(a, b)) == (a, b)
+
+
 @given(rationals, rationals)
 def test_scalar_components_round_trip(a, b):
     x = QSqrt3(a, b)

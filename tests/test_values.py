@@ -78,7 +78,7 @@ SAMPLES = [
     (Translation(OK, E, I1), ("kind", "a", "b")),
     (Shear(OK, I1), ("kind", "a")),
     (Triality(OK, True), ("kind", "inverse")),
-    (PHI, ("label", "tag", "inverse_tag", "source", "target", "f", "g")),
+    (PHI, ("label", "inverse_label", "source", "target", "f", "g")),
     (OctReflection(), ()),
     (compose(PHI, OctReflection(), PHI_INV), ("steps",)),
     (DesarguesConfig(P, L, *[P] * 9), NAMES),
