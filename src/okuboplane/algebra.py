@@ -21,6 +21,12 @@ Structure tables for the three products are computed once from the matrix
 model and cached; coordinate-level multiplication expands bilinearly over the
 cached table.  A mandatory test re-multiplies every table entry through the
 matrix model, so the tables can never drift from the oracle.
+
+The hot loops read integer coefficient rows: a linear map, a structure
+table row and the Gram matrix keep each non-zero coefficient as ``(k, a, b)``,
+meaning ``(a + b*sqrt3)/D`` times ``basis_k`` over one integer denominator
+``D`` per map (see :func:`_integer_rows`).  A product term
+``x_i * y_j * c_ijk`` is then one integer triple and one normalisation.
 """
 
 from __future__ import annotations
@@ -76,6 +82,9 @@ class Vec8:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("Vec8 is immutable")
+
+    def __reduce__(self) -> tuple:
+        return Vec8, (self.c,)
 
     @staticmethod
     def zero() -> Vec8:
@@ -140,13 +149,29 @@ E = _VEC_BASIS[0]
 BASIS = _VEC_BASIS  # e, i1..i7
 
 
+# An integer coefficient row: each entry (k, a, b) is (a + b*sqrt3)/D * basis_k.
+_IntRow = tuple[tuple[int, int, int], ...]
+
+
+def _integer_rows(vectors: Sequence[Vec8]) -> tuple[int, tuple[_IntRow, ...]]:
+    """``(D, rows)`` with ``rows[j]`` the non-zero coordinates of
+    ``vectors[j]`` as ``(k, a, b)`` over ``D``, the lcm of their denominators."""
+    den = _lcm(*(c.d for v in vectors for c in v.c))
+    return den, tuple(
+        tuple((k, c.p * (den // c.d), c.q * (den // c.d)) for k, c in enumerate(v.c) if c)
+        for v in vectors
+    )
+
+
 class LinMap8(Frozen):
     """An exact linear map of the 8-space, given by the images of the basis
-    vectors; each image is also kept sparse as (k, coeff) pairs, like the
-    rows of a structure table.  ``a @ b`` is the composite x -> a(b(x))."""
+    vectors; the images are also kept as integer rows, ``columns[j]`` the
+    image of ``basis_j`` as ``(k, a, b)`` over the one denominator ``den``
+    (like the rows of a structure table).  ``a @ b`` is the composite
+    x -> a(b(x))."""
 
-    __slots__ = ("images", "columns")
-    _fields = ("images",)  # the columns are derived from the images
+    __slots__ = ("images", "den", "columns")
+    _fields = ("images",)  # den and columns are derived from the images
 
     def __init__(self, images: Sequence[Vec8]) -> None:
         images = tuple(images)
@@ -155,7 +180,8 @@ class LinMap8(Frozen):
         if not all(isinstance(v, Vec8) for v in images):
             raise TypeError("LinMap8 images must be Vec8")
         Frozen.__init__(self, images)
-        columns = tuple(tuple((k, c) for k, c in enumerate(v.c) if c) for v in images)
+        den, columns = _integer_rows(images)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "columns", columns)
 
     @staticmethod
@@ -165,10 +191,12 @@ class LinMap8(Frozen):
 
     def apply(self, v: Vec8) -> Vec8:
         out = [QS_ZERO] * 8
+        den = self.den
         for vj, column in zip(v.c, self.columns):
             if vj:
-                for k, coeff in column:
-                    out[k] = out[k] + vj * coeff
+                p, q, d = vj.p, vj.q, vj.d * den
+                for k, a, b in column:
+                    out[k] = out[k] + _canonical(a * p + 3 * b * q, a * q + b * p, d)
         return Vec8(tuple(out))
 
     def __matmul__(self, other: LinMap8) -> LinMap8:
@@ -366,16 +394,19 @@ def matrix_to_vec(m: HermMat3) -> Vec8:
     return v
 
 
-# Sparse structure table: entry[i][j] is a tuple of (k, coefficient) pairs
-# meaning basis_i o basis_j = sum_k coeff * basis_k; row i is the columns of
-# the LinMap8 of left multiplication by basis_i.
-_SparseRow = tuple[tuple[tuple[int, QSqrt3], ...], ...]
-
-
 class StructureTable(Frozen):
-    """Structure constants of one product, derived from the matrix model."""
+    """Structure constants of one product, derived from the matrix model:
+    ``products[i][j] = basis_i o basis_j``.  The constructor derives
+    ``rows[i] = LinMap8(products[i])``, left multiplication by ``basis_i``,
+    whose integer columns the product kernel reads; every table here has
+    ``den <= 2`` in each row."""
 
-    __slots__ = ("kind", "products", "sparse")
+    __slots__ = ("kind", "products", "rows")
+    _fields = ("kind", "products")  # the rows are derived from the products
+
+    def __init__(self, kind: AlgebraKind, products: Sequence[Sequence[Vec8]]) -> None:
+        Frozen.__init__(self, kind, products)
+        object.__setattr__(self, "rows", tuple(map(LinMap8, products)))
 
     def to_json(self) -> dict:
         return {
@@ -385,21 +416,20 @@ class StructureTable(Frozen):
         }
 
 
-def _mul_table(sparse: tuple[_SparseRow, ...], x: Vec8, y: Vec8) -> Vec8:
+def _mul_table(rows: tuple[LinMap8, ...], x: Vec8, y: Vec8) -> Vec8:
+    """sum_ijk x_i y_j c_ijk basis_k over the integer rows of a table: each
+    term is one integer triple over ``d_x d_y D`` and one normalisation."""
     out = [QS_ZERO] * 8
-    xc, yc = x.c, y.c
-    for i in range(8):
-        xi = xc[i]
+    ys = [(j, c.p, c.q, c.d) for j, c in enumerate(y.c) if c]
+    for xi, left in zip(x.c, rows):
         if not xi:
             continue
-        row = sparse[i]
-        for j in range(8):
-            yj = yc[j]
-            if not yj:
-                continue
-            s = xi * yj
-            for k, coeff in row[j]:
-                out[k] = out[k] + s * coeff
+        xp, xq, xd = xi.p, xi.q, xi.d * left.den
+        columns = left.columns
+        for j, yp, yq, yd in ys:
+            sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
+            for k, a, b in columns[j]:
+                out[k] = out[k] + _canonical(a * sp + 3 * b * sq, a * sq + b * sp, sd)
     return Vec8(tuple(out))
 
 
@@ -413,21 +443,20 @@ def structure_table(kind: AlgebraKind) -> StructureTable:
         ]
     elif kind is AlgebraKind.OCTONION:
         # Kaplansky product x.y = (e*x)*(y*e), bilinear, so basis level suffices
-        ok = structure_table(AlgebraKind.OKUBO).sparse
+        ok = structure_table(AlgebraKind.OKUBO).rows
         left = [_mul_table(ok, E, Vec8.basis(i)) for i in range(8)]
         right = [_mul_table(ok, Vec8.basis(j), E) for j in range(8)]
         products = [[_mul_table(ok, left[i], right[j]) for j in range(8)] for i in range(8)]
     else:
-        oct_sparse = structure_table(AlgebraKind.OCTONION).sparse
+        oct_rows = structure_table(AlgebraKind.OCTONION).rows
         cb = CONJ.images
-        products = [[_mul_table(oct_sparse, cb[i], cb[j]) for j in range(8)] for i in range(8)]
-    sparse = tuple(LinMap8(row).columns for row in products)
-    return StructureTable(kind, tuple(tuple(row) for row in products), sparse)
+        products = [[_mul_table(oct_rows, cb[i], cb[j]) for j in range(8)] for i in range(8)]
+    return StructureTable(kind, tuple(tuple(row) for row in products))
 
 
 def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
     """Bilinear product of the selected algebra, exact."""
-    return _mul_table(structure_table(kind).sparse, x, y)
+    return _mul_table(structure_table(kind).rows, x, y)
 
 
 class GramMatrix(Frozen):
@@ -480,9 +509,9 @@ def gram() -> GramMatrix:
 
 
 @lru_cache(maxsize=1)
-def _gram_sparse() -> tuple[tuple[tuple[int, QSqrt3], ...], ...]:
-    g = gram().g
-    return tuple(tuple((j, g[i][j]) for j in range(8) if g[i][j]) for i in range(8))
+def _gram_rows() -> tuple[int, tuple[_IntRow, ...]]:
+    """The Gram matrix as integer rows (it is integral: ``D == 1``)."""
+    return _integer_rows(tuple(map(Vec8, gram().g)))
 
 
 def norm(x: Vec8) -> QSqrt3:
@@ -492,16 +521,19 @@ def norm(x: Vec8) -> QSqrt3:
 
 def polar(x: Vec8, y: Vec8) -> QSqrt3:
     """<x,y> = n(x+y) - n(x) - n(y) = sum_ij g_ij x_i y_j."""
-    gs = _gram_sparse()
+    den, gs = _gram_rows()
     total = QS_ZERO
-    xc, yc = x.c, y.c
-    for i in range(8):
-        xi = xc[i]
+    yc = y.c
+    for xi, row in zip(x.c, gs):
         if not xi:
             continue
-        for j, gij in gs[i]:
-            if yc[j]:
-                total = total + xi * yc[j] * gij
+        xp, xq, xd = xi.p, xi.q, xi.d * den
+        for j, a, b in row:
+            yj = yc[j]
+            if yj:
+                yp, yq = yj.p, yj.q
+                sp, sq = xp * yp + 3 * xq * yq, xp * yq + xq * yp
+                total = total + _canonical(a * sp + 3 * b * sq, a * sq + b * sp, xd * yj.d)
     return total
 
 

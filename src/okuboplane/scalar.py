@@ -71,6 +71,10 @@ class Frozen:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self) -> tuple:
+        # pickle and deepcopy rebuild through the constructor, never __setattr__
+        return type(self), self._values(self)
+
     def __repr__(self) -> str:
         pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({pairs})"
@@ -109,6 +113,9 @@ class QSqrt3:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("QSqrt3 is immutable")
+
+    def __reduce__(self) -> tuple:
+        return _raw, (self.p, self.q, self.d)
 
     @classmethod
     def of(cls, num: int, den: int = 1, *, sqrt3: bool = False) -> QSqrt3:

@@ -14,7 +14,7 @@ import random
 from itertools import product
 from typing import Optional
 
-from .algebra import BASIS, E, Vec8, random_vec, trial_rng
+from .algebra import BASIS, Vec8, random_vec, trial_rng
 from .plane import (
     EqualLines,
     EqualPoints,
@@ -215,11 +215,6 @@ def ptr_theta(s: Vec8, x: Vec8, t: Vec8) -> Vec8:
 def ptr_product(s: Vec8, x: Vec8) -> Vec8:
     """Associated product s x := theta(s, x, 0)."""
     return ptr_theta(s, x, Vec8.zero())
-
-
-def ptr_sum(x: Vec8, t: Vec8) -> Vec8:
-    """Associated sum x + t := theta(1, x, t), with 1 the unit label of e."""
-    return ptr_theta(E, x, t)
 
 
 def ptr_nonlinearity_witness() -> Optional[tuple[Vec8, Vec8, Vec8, Vec8]]:

@@ -233,6 +233,20 @@ def test_okubo_table_matches_matrix_oracle_on_all_basis_pairs():
             assert vec_to_matrix(table.products[i][j]) == oracle
 
 
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=[k.value for k in AlgebraKind])
+def test_integer_rows_rebuild_every_table_entry(kind):
+    table = structure_table(kind)
+    assert len(table.rows) == 8
+    for i, left in enumerate(table.rows):
+        assert left.den in (1, 2)
+        for j, column in enumerate(left.columns):
+            coords = [QS_ZERO] * 8
+            for k, a, b in column:
+                assert type(a) is int and type(b) is int and (a or b)
+                coords[k] = QSqrt3(Fraction(a, left.den), Fraction(b, left.den))
+            assert Vec8(coords) == table.products[i][j]
+
+
 def test_okubo_coefficient_example():
     prod = structure_table(OK).products[0][1]  # e * i1
     assert prod.c[5] == q(0, Fraction(-1, 2))

@@ -26,6 +26,7 @@ from okuboplane.algebra import (  # noqa: E402
     AlgebraKind,
     E,
     HermMat3,
+    LinMap8,
     Vec8,
     _matmul,
     entry_mul,
@@ -35,6 +36,7 @@ from okuboplane.algebra import (  # noqa: E402
     norm,
     okubo_matrix_mul,
     polar,
+    product_conversion_crosscheck,
     solve_left,
     solve_right,
     vec_to_matrix,
@@ -269,6 +271,34 @@ def test_matrix_oracle_on_drawn_vectors(x, y):
     mx, my = vec_to_matrix(x), vec_to_matrix(y)
     assert matrix_to_vec(okubo_matrix_mul(mx, my)) == mul(AlgebraKind.OKUBO, x, y)
     assert matrix_polar(mx, my) == polar(x, y)
+
+
+@given(x=vectors, y=vectors)
+def test_product_conversions_on_drawn_vectors(x, y):
+    # the octonion and para integer rows and the CONJ/TAU/TAU2 columns
+    assert product_conversion_crosscheck(x, y)
+
+
+# maps whose coefficient denominators include 3 and large values
+_MAP_DENOMINATORS = st.one_of(st.just(3), st.sampled_from((2, 6, 9, 12)), _DENOMINATORS)
+map_scalars = st.one_of(
+    st.just(QS_ZERO),
+    scalars,
+    st.builds(lambda p, q, d: QSqrt3(Fraction(p, d), Fraction(q, d)),
+              _NUMERATORS, _NUMERATORS, _MAP_DENOMINATORS),
+)
+maps = st.lists(
+    st.lists(map_scalars, min_size=8, max_size=8).map(Vec8), min_size=8, max_size=8,
+).map(LinMap8)
+
+
+@given(f=maps, v=vectors)
+def test_linear_map_apply_is_the_sum_of_scaled_images(f, v):
+    expected = [QS_ZERO] * 8
+    for vj, image in zip(v, f.images):
+        for k, c in enumerate(image):
+            expected[k] = expected[k] + vj * c
+    assert f.apply(v) == Vec8(expected)
 
 
 @given(x=vectors)

@@ -33,7 +33,7 @@ def test_structure_oracle_names_a_corrupted_product(monkeypatch):
     table = structure_table(OK)
     products = [list(row) for row in table.products]
     products[2][5] = products[2][5] + BASIS[0]
-    corrupted = StructureTable(table.kind, tuple(map(tuple, products)), table.sparse)
+    corrupted = StructureTable(table.kind, tuple(map(tuple, products)))
     monkeypatch.setattr(suites, "structure_table", lambda kind: corrupted)
     report = _report("structure-table-vs-matrix-oracle")
     assert report.verdict == "fail"

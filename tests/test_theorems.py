@@ -28,7 +28,6 @@ from okuboplane.theorems import (
     little_desargues_verify,
     ptr_nonlinearity_witness,
     ptr_product,
-    ptr_sum,
     ptr_theta,
 )
 
@@ -158,12 +157,6 @@ def test_unit_slope_is_okubo_action_not_identity():
     assert ptr_product(E, I1) == mul(OK, E, I1)
     # in the octonionic plane the same slope acts as the identity
     assert mul(AlgebraKind.OCTONION, E, I1) == I1
-
-
-def test_associated_sum_uses_unit_label():
-    rng = trial_rng(42, 0)
-    x, t = random_vec(rng), random_vec(rng)
-    assert ptr_sum(x, t) == mul(OK, E, x) + t
 
 
 # -- separation witnesses -------------------------------------------------------------
