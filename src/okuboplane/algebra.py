@@ -22,11 +22,13 @@ model and cached; coordinate-level multiplication expands bilinearly over the
 cached table.  A mandatory test re-multiplies every table entry through the
 matrix model, so the tables can never drift from the oracle.
 
-The hot loops read integer coefficient rows: a linear map, a structure
-table row and the Gram matrix keep each non-zero coefficient as ``(k, a, b)``,
-meaning ``(a + b*sqrt3)/D`` times ``basis_k`` over one integer denominator
-``D`` per map (see :func:`_integer_rows`).  A product term
-``x_i * y_j * c_ijk`` is then one integer triple and one normalisation.
+Every product, polarisation and linear map is one bilinear contraction,
+sum_ij x_i y_j maps[i](basis_j), computed by one kernel, :func:`_contract`.
+Each ``LinMap8`` it reads (a linear map, a structure table row, a Gram row)
+keeps each non-zero coefficient as ``(k, a, b)``, meaning
+``(a + b*sqrt3)/D`` times ``basis_k`` over one integer denominator ``D`` per
+map (built by :func:`_integer_rows`).  A term ``x_i * y_j * c_ijk`` is then
+one integer triple and one normalisation.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class AlgebraKind(Enum):
 BASIS_NAMES = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
 
 
-class Vec8:
+class Vec8(Frozen):
     """An algebra element as 8 exact coordinates in the basis e, i1..i7."""
 
     __slots__ = ("c",)
@@ -76,15 +78,6 @@ class Vec8:
         if len(cs) != 8:
             raise ValueError("Vec8 needs exactly 8 coordinates")
         _set_c(self, cs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Vec8 is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Vec8 is immutable")
-
-    def __reduce__(self) -> tuple:
-        return Vec8, (self.c,)
 
     @staticmethod
     def zero() -> Vec8:
@@ -190,17 +183,32 @@ class LinMap8(Frozen):
         return LinMap8(tuple(map(f, BASIS)))
 
     def apply(self, v: Vec8) -> Vec8:
-        out = [QS_ZERO] * 8
-        den = self.den
-        for vj, column in zip(v.c, self.columns):
-            if vj:
-                p, q, d = vj.p, vj.q, vj.d * den
-                for k, a, b in column:
-                    out[k] = out[k] + _canonical(a * p + 3 * b * q, a * q + b * p, d)
-        return Vec8(tuple(out))
+        return Vec8(_contract((QS_ONE,), (self,), v))
 
     def __matmul__(self, other: LinMap8) -> LinMap8:
         return LinMap8(tuple(map(self.apply, other.images)))
+
+
+def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[QSqrt3]:
+    """The coordinates of sum_ij x_i y_j maps[i](basis_j), read from the
+    integer columns: each term is one integer triple over ``d_x d_y D`` and
+    one normalisation, added to a ``QSqrt3`` accumulator.  ``mul``,
+    ``polar`` and ``LinMap8.apply`` all read the integer rows through it."""
+    out = [QS_ZERO] * 8
+    ys = [(j, c.p, c.q, c.d) for j, c in enumerate(y.c) if c]
+    for xi, f in zip(xs, maps):
+        if not xi:
+            continue
+        xp, xq, xd = xi.p, xi.q, xi.d * f.den
+        columns = f.columns
+        for j, yp, yq, yd in ys:
+            column = columns[j]
+            if not column:
+                continue
+            sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
+            for k, a, b in column:
+                out[k] = out[k] + _canonical(a * sp + 3 * b * sq, a * sq + b * sp, sd)
+    return out
 
 
 # -- the matrix model over Z[sqrt3, i] ------------------------------------------
@@ -398,7 +406,7 @@ class StructureTable(Frozen):
     """Structure constants of one product, derived from the matrix model:
     ``products[i][j] = basis_i o basis_j``.  The constructor derives
     ``rows[i] = LinMap8(products[i])``, left multiplication by ``basis_i``,
-    whose integer columns the product kernel reads; every table here has
+    whose integer columns :func:`_contract` reads; every table here has
     ``den <= 2`` in each row."""
 
     __slots__ = ("kind", "products", "rows")
@@ -416,23 +424,6 @@ class StructureTable(Frozen):
         }
 
 
-def _mul_table(rows: tuple[LinMap8, ...], x: Vec8, y: Vec8) -> Vec8:
-    """sum_ijk x_i y_j c_ijk basis_k over the integer rows of a table: each
-    term is one integer triple over ``d_x d_y D`` and one normalisation."""
-    out = [QS_ZERO] * 8
-    ys = [(j, c.p, c.q, c.d) for j, c in enumerate(y.c) if c]
-    for xi, left in zip(x.c, rows):
-        if not xi:
-            continue
-        xp, xq, xd = xi.p, xi.q, xi.d * left.den
-        columns = left.columns
-        for j, yp, yq, yd in ys:
-            sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
-            for k, a, b in columns[j]:
-                out[k] = out[k] + _canonical(a * sp + 3 * b * sq, a * sq + b * sp, sd)
-    return Vec8(tuple(out))
-
-
 @lru_cache(maxsize=None)
 def structure_table(kind: AlgebraKind) -> StructureTable:
     if kind is AlgebraKind.OKUBO:
@@ -444,25 +435,36 @@ def structure_table(kind: AlgebraKind) -> StructureTable:
     elif kind is AlgebraKind.OCTONION:
         # Kaplansky product x.y = (e*x)*(y*e), bilinear, so basis level suffices
         ok = structure_table(AlgebraKind.OKUBO).rows
-        left = [_mul_table(ok, E, Vec8.basis(i)) for i in range(8)]
-        right = [_mul_table(ok, Vec8.basis(j), E) for j in range(8)]
-        products = [[_mul_table(ok, left[i], right[j]) for j in range(8)] for i in range(8)]
+        left = [Vec8(_contract(E.c, ok, b)) for b in BASIS]
+        right = [Vec8(_contract(b.c, ok, E)) for b in BASIS]
+        products = [[Vec8(_contract(x.c, ok, y)) for y in right] for x in left]
     else:
         oct_rows = structure_table(AlgebraKind.OCTONION).rows
         cb = CONJ.images
-        products = [[_mul_table(oct_rows, cb[i], cb[j]) for j in range(8)] for i in range(8)]
+        products = [[Vec8(_contract(x.c, oct_rows, y)) for y in cb] for x in cb]
     return StructureTable(kind, tuple(tuple(row) for row in products))
 
 
 def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
     """Bilinear product of the selected algebra, exact."""
-    return _mul_table(structure_table(kind).rows, x, y)
+    return Vec8(_contract(x.c, structure_table(kind).rows, y))
 
 
 class GramMatrix(Frozen):
-    """g[i][j] = <basis_i, basis_j>, derived from matrix traces."""
+    """g[i][j] = <basis_i, basis_j>, derived from matrix traces.  The
+    constructor derives ``rows[i]``, the map basis_j -> g_ij e, so that
+    ``polar`` is the product kernel's contraction read off coordinate ``e``
+    (the way a structure table derives its rows from its products)."""
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "rows")
+    _fields = ("g",)  # the rows are derived from g
+
+    def __init__(self, g: Sequence[Sequence[QSqrt3]]) -> None:
+        Frozen.__init__(self, g)
+        zeros = (QS_ZERO,) * 7
+        object.__setattr__(self, "rows", tuple(
+            LinMap8(tuple(Vec8((gij, *zeros)) for gij in row)) for row in g
+        ))
 
     def leading_minors(self) -> list[QSqrt3]:
         """Exact determinants of the 8 leading principal submatrices."""
@@ -508,12 +510,6 @@ def gram() -> GramMatrix:
     )
 
 
-@lru_cache(maxsize=1)
-def _gram_rows() -> tuple[int, tuple[_IntRow, ...]]:
-    """The Gram matrix as integer rows (it is integral: ``D == 1``)."""
-    return _integer_rows(tuple(map(Vec8, gram().g)))
-
-
 def norm(x: Vec8) -> QSqrt3:
     """n(x) = <x,x>/2; agrees exactly with Tr(X^2)/6."""
     return polar(x, x) * QS_HALF
@@ -521,20 +517,7 @@ def norm(x: Vec8) -> QSqrt3:
 
 def polar(x: Vec8, y: Vec8) -> QSqrt3:
     """<x,y> = n(x+y) - n(x) - n(y) = sum_ij g_ij x_i y_j."""
-    den, gs = _gram_rows()
-    total = QS_ZERO
-    yc = y.c
-    for xi, row in zip(x.c, gs):
-        if not xi:
-            continue
-        xp, xq, xd = xi.p, xi.q, xi.d * den
-        for j, a, b in row:
-            yj = yc[j]
-            if yj:
-                yp, yq = yj.p, yj.q
-                sp, sq = xp * yp + 3 * xq * yq, xp * yq + xq * yp
-                total = total + _canonical(a * sp + 3 * b * sq, a * sq + b * sp, xd * yj.d)
-    return total
+    return _contract(x.c, gram().rows, y)[0]
 
 
 IDENTITY = LinMap8(BASIS)

@@ -2,8 +2,9 @@
 
 Exit status: 0 when every suite passed (expected-fail statements count as
 passed exactly when their witness was found), 1 on any suite failure, 2 on
-bad arguments.  Reports with identical (command, kind, seed, trials) are
-byte-identical apart from the elapsed_ms fields.
+bad arguments, an ``--output`` that cannot be opened for writing included
+(checked before any suite runs).  Reports with identical (command, kind,
+seed, trials) are byte-identical apart from the elapsed_ms fields.
 """
 
 from __future__ import annotations
@@ -108,6 +109,11 @@ def run_command(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.output != "-":
+        try:
+            open(args.output, "a", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"cannot write --output {args.output}: {exc.strerror}")
     if args.command == "dump-tables":
         return run_command("dump-tables", "all", 0, 1, "json", args.output)
     return run_command(

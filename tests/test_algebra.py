@@ -233,18 +233,34 @@ def test_okubo_table_matches_matrix_oracle_on_all_basis_pairs():
             assert vec_to_matrix(table.products[i][j]) == oracle
 
 
-@pytest.mark.parametrize("kind", list(AlgebraKind), ids=[k.value for k in AlgebraKind])
-def test_integer_rows_rebuild_every_table_entry(kind):
-    table = structure_table(kind)
-    assert len(table.rows) == 8
-    for i, left in enumerate(table.rows):
+def _rows_and_entries(case):
+    """The integer rows of a structure table or of the Gram matrix, with the
+    entries they must rebuild: ``products[i][j]``, or ``g_ij e``."""
+    if case == "gram":
+        g = gram()
+        return g.rows, [[E.scale(gij) for gij in row] for row in g.g]
+    table = structure_table(case)
+    return table.rows, table.products
+
+
+@pytest.mark.parametrize(
+    "case", [*AlgebraKind, "gram"], ids=[k.value for k in AlgebraKind] + ["gram"]
+)
+def test_integer_rows_rebuild_every_table_entry(case):
+    rows, entries = _rows_and_entries(case)
+    assert len(rows) == 8
+    for i, left in enumerate(rows):
         assert left.den in (1, 2)
         for j, column in enumerate(left.columns):
             coords = [QS_ZERO] * 8
             for k, a, b in column:
                 assert type(a) is int and type(b) is int and (a or b)
                 coords[k] = QSqrt3(Fraction(a, left.den), Fraction(b, left.den))
-            assert Vec8(coords) == table.products[i][j]
+            assert Vec8(coords) == entries[i][j]
+    if case == "gram":  # polar is bilinear: the basis pairs prove the kernel's Gram path
+        for i, x in enumerate(BASIS):
+            for j, y in enumerate(BASIS):
+                assert polar(x, y) == gram().g[i][j]
 
 
 def test_okubo_coefficient_example():

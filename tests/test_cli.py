@@ -65,6 +65,24 @@ def test_dump_tables(tmp_path):
     assert data["trivolution"]["convention_table_comparison"]["agrees"] is False
 
 
+@pytest.mark.parametrize("args", [["g2", "--trials", "1"], ["dump-tables"]],
+                         ids=["g2", "dump-tables"])
+def test_unwritable_output_exits_two_before_any_suite_runs(args, tmp_path, monkeypatch,
+                                                           capsys):
+    from okuboplane import cli
+
+    def refuse(*_):
+        raise AssertionError("a suite ran before --output was checked")
+
+    monkeypatch.setattr(cli, "run_command", refuse)
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--output", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write --output {path}" in err and "Traceback" not in err
+
+
 def test_invalid_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
