@@ -52,21 +52,20 @@ class KindMismatch(TypeError):
     """A collineation applied to an element of the wrong plane kind."""
 
 
-class Collineation:
-    """Base: a plane map with fixed source and target kinds."""
+class Collineation(Frozen):
+    """Base: a plane map with fixed source and target kinds, both ``kind`` unless
+    a subclass overrides them; it gives ``apply_point``, ``apply_line``, ``invert``."""
 
     __slots__ = ()
-    source: AlgebraKind
-    target: AlgebraKind
+    kind: AlgebraKind
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        raise NotImplementedError
+    @property
+    def source(self) -> AlgebraKind:
+        return self.kind
 
-    def apply_line(self, l: PjLine) -> PjLine:
-        raise NotImplementedError
-
-    def invert(self) -> Collineation:
-        raise NotImplementedError
+    @property
+    def target(self) -> AlgebraKind:
+        return self.kind
 
     @property
     def name(self) -> str:
@@ -82,22 +81,7 @@ class Collineation:
         return PLANES[self.target]
 
 
-class SamePlane(Collineation):
-    """A collineation of the plane of ``self.kind`` onto itself."""
-
-    __slots__ = ()
-    kind: AlgebraKind
-
-    @property
-    def source(self) -> AlgebraKind:
-        return self.kind
-
-    @property
-    def target(self) -> AlgebraKind:
-        return self.kind
-
-
-class Translation(Frozen, SamePlane):
+class Translation(Collineation):
     """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
 
     __slots__ = ("kind", "a", "b")
@@ -118,7 +102,7 @@ class Translation(Frozen, SamePlane):
         return Translation(self.kind, -self.a, -self.b)
 
 
-class Shear(Frozen, SamePlane):
+class Shear(Collineation):
     """(x, y) -> (x, y + a o x); axis [0], center the infinity point."""
 
     __slots__ = ("kind", "a")
@@ -139,7 +123,7 @@ class Shear(Frozen, SamePlane):
         return Shear(self.kind, -self.a)
 
 
-class Triality(Frozen, SamePlane):
+class Triality(Collineation):
     """Cyclic shift of Veronese coordinates, read back on the affine chart.
 
     Defined on the Okubo and para planes, whose Veronese conditions are
@@ -151,7 +135,7 @@ class Triality(Frozen, SamePlane):
     def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
         if kind is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
-        Frozen.__init__(self, kind, inverse)
+        super().__init__(kind, inverse)
 
     def _shift(self, v: VeroneseVec) -> VeroneseVec:
         return v.cyclic().cyclic() if self.inverse else v.cyclic()
@@ -168,7 +152,7 @@ class Triality(Frozen, SamePlane):
         return Triality(self.kind, not self.inverse)
 
 
-class ChartMap(Frozen, Collineation):
+class ChartMap(Collineation):
     """A map between planes that keeps y and rewrites x by the linear map
     ``f``, slopes by ``g``: (x, y) -> (f(x), y), (s) -> (g(s)),
     [s, t] -> [g(s), t], [c] -> [f(c)].  The inverse map swaps the labels,
@@ -210,7 +194,7 @@ PPHI_INV = PPHI.invert()
 """Para-octonionic plane -> Okubo plane: (x, y) -> (tau(x), y)."""
 
 
-class OctReflection(Frozen, SamePlane):
+class OctReflection(Collineation):
     """The octonionic swap (x, y) -> (y, x), extended projectively.
 
     On slopes it inverts: (s) -> (s^-1), (0) <-> (inf).  Line images follow
@@ -244,7 +228,7 @@ class OctReflection(Frozen, SamePlane):
         return OctReflection()
 
 
-class Composite(Frozen, Collineation):
+class Composite(Collineation):
     """Left-to-right chain of collineations with matching kinds."""
 
     __slots__ = ("steps",)
@@ -257,7 +241,7 @@ class Composite(Frozen, Collineation):
                 raise KindMismatch(
                     f"cannot chain {first.target.value} -> {second.source.value}"
                 )
-        Frozen.__init__(self, steps)
+        super().__init__(steps)
 
     @property
     def source(self) -> AlgebraKind:

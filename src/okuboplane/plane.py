@@ -1,11 +1,11 @@
 """Affine plane over any of the three algebras, its projective completion,
 and the Veronese model used to verify it.
 
-Points and lines are tagged unions over the affine chart, mirroring the case
-analyses that define join and meet; the 27-dimensional Veronese vectors exist
-as a verification layer (the bilinear form ``beta`` vanishes exactly on
-incident point/line images) and as the coordinate system in which the triality
-collineation is a plain cyclic shift.
+Points (``PjPoint``) and lines (``PjLine``) are two families of tagged types
+over the affine chart, mirroring the case analyses that define join and meet;
+the 27-dimensional Veronese vectors are a verification layer (``beta``
+vanishes exactly on incident point/line images) and the coordinate system in
+which the triality collineation is a plain cyclic shift.
 
 The kinds differ only in how a product is divided out, through the quotient
 maps ``L`` and ``R`` of :mod:`.algebra` (a o L(a, b) = n(a) b = R(a, b) o a).
@@ -19,7 +19,6 @@ the unique placement under which point images, line data and
 from __future__ import annotations
 
 import random
-from typing import Union
 
 from .algebra import (
     AlgebraKind,
@@ -33,7 +32,7 @@ from .algebra import (
     solve_left,
     solve_right,
 )
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, json_tag
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3
 
 
 class EqualPoints(ValueError):
@@ -57,101 +56,95 @@ class PostconditionViolation(ArithmeticError):
     (an arithmetic bug); raised explicitly so that ``python -O`` keeps it."""
 
 
-class AffinePoint(Frozen):
-    __slots__ = ("x", "y")
+class WrongElement(TypeError):
+    """A line where a point is required, or a point where a line is."""
+
+
+class PjElement(Frozen):
+    """A point or line of the projective plane.  A concrete type declares its
+    JSON tag ``_tag`` and, when they differ from its fields, the JSON keys
+    ``_keys``; each family keeps the tag table ``_types`` and encloses the
+    text form (the fields, or ``inf`` when there are none) in ``_brackets``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_tag" in cls.__dict__:
+            cls._keys = cls.__dict__.get("_keys", cls._fields)
+            cls._types[cls._tag] = cls
 
     def to_json(self) -> dict:
-        return {"t": "affine", "x": self.x.to_json(), "y": self.y.to_json()}
+        return {"t": self._tag, **{k: v.to_json() for k, v in zip(self._keys, self._values(self))}}
 
     def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
+        inner = ", ".join(map(str, self._values(self))) or "inf"
+        return f"{self._brackets[0]}{inner}{self._brackets[1]}"
+
+    @classmethod
+    def from_json(cls, data: object) -> PjElement:
+        """Inverse of ``to_json``: ``ValueError`` unless ``data`` is a dict with
+        a tag ``t`` of this family and exactly the other keys that tag needs."""
+        tag = data.get("t") if isinstance(data, dict) else None
+        found = cls._types.get(tag) if isinstance(tag, str) else None
+        if found is None or data.keys() != {"t", *found._keys}:
+            raise ValueError(f"expected a dict whose 't' is one of {sorted(cls._types)}, with"
+                             f" exactly the keys that tag needs, not {data!r}")
+        return found(*(Vec8.from_json(data[k]) for k in found._keys))
 
 
-class SlopePoint(Frozen):
+class PjPoint(PjElement):
+    __slots__ = ()
+    _types, _brackets = {}, "()"
+
+
+class PjLine(PjElement):
+    __slots__ = ()
+    _types, _brackets = {}, "[]"
+
+
+class AffinePoint(PjPoint):
+    __slots__ = ("x", "y")
+    _tag = "affine"
+
+
+class SlopePoint(PjPoint):
     """The point at infinity shared by all lines of slope s."""
 
     __slots__ = ("s",)
-
-    def to_json(self) -> dict:
-        return {"t": "slope", "s": self.s.to_json()}
-
-    def __str__(self) -> str:
-        return f"({self.s})"
+    _tag = "slope"
 
 
-class InfinityPoint(Frozen):
+class InfinityPoint(PjPoint):
     """The point at infinity of vertical lines and of the line at infinity."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"t": "infinity"}
-
-    def __str__(self) -> str:
-        return "(inf)"
+    _tag = "infinity"
 
 
-class FiniteLine(Frozen):
+class FiniteLine(PjLine):
     """[s, t] = all points (x, s o x + t)."""
 
     __slots__ = ("s", "t")
-
-    def to_json(self) -> dict:
-        return {"t": "line", "slope": self.s.to_json(), "offset": self.t.to_json()}
-
-    def __str__(self) -> str:
-        return f"[{self.s}, {self.t}]"
+    _tag, _keys = "line", ("slope", "offset")
 
 
-class VerticalLine(Frozen):
+class VerticalLine(PjLine):
     """[c] = {c} x algebra."""
 
     __slots__ = ("c",)
-
-    def to_json(self) -> dict:
-        return {"t": "vertical", "c": self.c.to_json()}
-
-    def __str__(self) -> str:
-        return f"[{self.c}]"
+    _tag = "vertical"
 
 
-class LineAtInfinity(Frozen):
+class LineAtInfinity(PjLine):
     __slots__ = ()
+    _tag = "line-at-infinity"
 
-    def to_json(self) -> dict:
-        return {"t": "line-at-infinity"}
-
-    def __str__(self) -> str:
-        return "[inf]"
-
-
-PjPoint = Union[AffinePoint, SlopePoint, InfinityPoint]
-PjLine = Union[FiniteLine, VerticalLine, LineAtInfinity]
 
 INFINITY_POINT = InfinityPoint()
 LINE_AT_INFINITY = LineAtInfinity()
-
-
-def point_from_json(data: dict) -> PjPoint:
-    """Inverse of ``to_json``: ``ValueError`` unless the keys fit the tag."""
-    tag = json_tag(data, "t", {"affine": ("x", "y"), "slope": ("s",), "infinity": ()})
-    if tag == "affine":
-        return AffinePoint(Vec8.from_json(data["x"]), Vec8.from_json(data["y"]))
-    if tag == "slope":
-        return SlopePoint(Vec8.from_json(data["s"]))
-    return INFINITY_POINT
-
-
-def line_from_json(data: dict) -> PjLine:
-    """Inverse of ``to_json``, as strict as :func:`point_from_json`."""
-    tag = json_tag(
-        data, "t", {"line": ("slope", "offset"), "vertical": ("c",), "line-at-infinity": ()}
-    )
-    if tag == "line":
-        return FiniteLine(Vec8.from_json(data["slope"]), Vec8.from_json(data["offset"]))
-    if tag == "vertical":
-        return VerticalLine(Vec8.from_json(data["c"]))
-    return LINE_AT_INFINITY
+point_from_json = PjPoint.from_json
+line_from_json = PjLine.from_json
 
 
 class VeroneseVec(Frozen):
@@ -201,6 +194,8 @@ class Plane(Frozen):
     # -- incidence ---------------------------------------------------------
 
     def incident(self, p: PjPoint, l: PjLine) -> bool:
+        if not (isinstance(p, PjPoint) and isinstance(l, PjLine)):
+            raise WrongElement(f"incident takes a point and a line, not {p} and {l}")
         if isinstance(p, AffinePoint):
             if isinstance(l, FiniteLine):
                 return p.y == self.mul(l.s, p.x) + l.t
@@ -278,6 +273,8 @@ class Plane(Frozen):
             return VeroneseVec(p.x, p.y, z, norm(p.y), norm(p.x), QS_ONE)
         if isinstance(p, SlopePoint):
             return VeroneseVec(Vec8.zero(), Vec8.zero(), p.s, norm(p.s), QS_ONE, QS_ZERO)
+        if not isinstance(p, PjPoint):
+            raise WrongElement(f"point_to_veronese takes a point, not {p}")
         return VeroneseVec(Vec8.zero(), Vec8.zero(), Vec8.zero(), QS_ONE, QS_ZERO, QS_ZERO)
 
     def line_to_veronese(self, l: PjLine) -> VeroneseVec:
@@ -286,6 +283,8 @@ class Plane(Frozen):
             return VeroneseVec(w1, -l.t, -l.s, QS_ONE, norm(l.s), norm(l.t))
         if isinstance(l, VerticalLine):
             return VeroneseVec(-l.c, Vec8.zero(), Vec8.zero(), QS_ZERO, QS_ONE, norm(l.c))
+        if not isinstance(l, PjLine):
+            raise WrongElement(f"line_to_veronese takes a line, not {l}")
         return VeroneseVec(Vec8.zero(), Vec8.zero(), Vec8.zero(), QS_ZERO, QS_ZERO, QS_ONE)
 
     def point_from_veronese(self, v: VeroneseVec) -> PjPoint:

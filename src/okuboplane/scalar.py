@@ -318,12 +318,3 @@ def parse_list(data: object, n: int) -> tuple[QSqrt3, ...]:
         raise ValueError(f"expected a list of {n} scalar strings, not {data!r}")
     return tuple(map(parse, data))
 
-
-def json_tag(data: object, key: str, shapes: dict[str, tuple[str, ...]]) -> str:
-    """The tag ``data[key]`` of replayed JSON, which must be a dict with
-    exactly the keys ``key`` and ``shapes[tag]``; ``ValueError`` otherwise."""
-    tag = data.get(key) if isinstance(data, dict) else None
-    if not (isinstance(tag, str) and tag in shapes and data.keys() == {key, *shapes[tag]}):
-        raise ValueError(f"expected a dict whose {key!r} is one of {sorted(shapes)}, with"
-                         f" exactly the keys that tag needs, not {data!r}")
-    return tag

@@ -233,6 +233,22 @@ def test_composite_kind_validation():
         Composite(())
     chained = compose(PHI, OctReflection(), PHI_INV)
     assert chained.source is OK and chained.target is OK
+    # the ends of a composite across planes: its first source and last target
+    mixed = compose(Shear(OK, I1), PHI, OctReflection())
+    assert (mixed.source, mixed.target) == (OK, OC)
+    assert (mixed.invert().source, mixed.invert().target) == (OC, OK)
+
+
+@pytest.mark.parametrize(
+    "c, kind",
+    [(Translation(PA, E, I1), PA), (Shear(OC, I1), OC), (Triality(PA), PA),
+     (Triality(OK, True), OK), (OctReflection(), OC)],
+    ids=["translation", "shear", "triality-para", "triality-okubo", "oct-reflection"],
+)
+def test_maps_of_one_plane_take_source_and_target_from_kind(c, kind):
+    assert c.kind is c.source is c.target is kind
+    assert c.source_plane is c.target_plane is PLANES[kind]
+    assert c.invert().source is c.invert().target is kind
 
 
 # -- octonion reflection -------------------------------------------------------------
@@ -341,11 +357,15 @@ def test_chart_maps_invert_exactly(chart):
 
 
 @pytest.mark.parametrize(
-    "chart, inverse, names",
-    [(PHI, PHI_INV, ("Phi", "PhiInv")), (PPHI, PPHI_INV, ("PPhi", "PPhiInv"))],
+    "chart, inverse, names, kinds",
+    [(PHI, PHI_INV, ("Phi", "PhiInv"), (OK, OC)),
+     (PPHI, PPHI_INV, ("PPhi", "PPhiInv"), (OK, PA))],
     ids=["phi", "pphi"],
 )
-def test_chart_map_inverse_is_its_named_partner(chart, inverse, names):
+def test_chart_map_inverse_is_its_named_partner(chart, inverse, names, kinds):
     assert chart.invert() == inverse and inverse.invert() == chart
     assert (chart.invert().name, inverse.invert().name) == names[::-1]
+    # a chart map's kinds are its own fields, not a shared ``kind``
+    assert (chart.source, chart.target) == kinds and not hasattr(chart, "kind")
+    assert (chart.source_plane, chart.target_plane) == (PLANES[kinds[0]], PLANES[kinds[1]])
     assert (inverse.source, inverse.target) == (chart.target, chart.source)

@@ -27,6 +27,7 @@ from okuboplane.plane import (
     SlopePoint,
     VerticalLine,
     VeroneseVec,
+    WrongElement,
     beta,
     line_from_json,
     point_from_json,
@@ -356,6 +357,50 @@ def test_point_line_json_roundtrip():
         assert point_from_json(p.to_json()) == p
         l = random_line(rng)
         assert line_from_json(l.to_json()) == l
+
+
+# x = e + (-1/2 + 2 sqrt3) i3, written out in both forms
+_X = E + Vec8.basis(3).scale(q(Fraction(-1, 2), 2))
+_XS = "(1)*e + (-1/2 + 2*sqrt3)*i3"
+_XJ = ["1", "0", "0", "-1/2 + 2*sqrt3", "0", "0", "0", "0"]
+_I1J = ["0", "1"] + ["0"] * 6
+
+
+@pytest.mark.parametrize(
+    "element, text, data",
+    [
+        (AffinePoint(_X, I1), f"({_XS}, (1)*i1)", {"t": "affine", "x": _XJ, "y": _I1J}),
+        (SlopePoint(_X), f"({_XS})", {"t": "slope", "s": _XJ}),
+        (INFINITY_POINT, "(inf)", {"t": "infinity"}),
+        (FiniteLine(I1, _X), f"[(1)*i1, {_XS}]", {"t": "line", "slope": _I1J, "offset": _XJ}),
+        (VerticalLine(_X), f"[{_XS}]", {"t": "vertical", "c": _XJ}),
+        (LINE_AT_INFINITY, "[inf]", {"t": "line-at-infinity"}),
+    ],
+    ids=["affine", "slope", "infinity", "line", "vertical", "line-at-infinity"],
+)
+def test_text_and_json_forms_are_pinned(element, text, data):
+    assert str(element) == text
+    assert list(element.to_json().items()) == list(data.items())  # key order included
+    read = point_from_json if data["t"] in ("affine", "slope", "infinity") else line_from_json
+    assert read(data) == element
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: OKUBO_PLANE.join(FiniteLine(E, ZERO), VerticalLine(E)),
+        lambda: OKUBO_PLANE.incident(LINE_AT_INFINITY, LINE_AT_INFINITY),
+        lambda: OKUBO_PLANE.point_to_veronese(VerticalLine(E)),
+        lambda: OKUBO_PLANE.meet(ORIGIN, AffinePoint(E, E)),
+        lambda: OKUBO_PLANE.line_to_veronese(SlopePoint(E)),
+        lambda: OKUBO_PLANE.incident(FiniteLine(E, ZERO), ORIGIN),
+    ],
+    ids=["join-lines", "incident-lines", "point-veronese-of-line", "meet-points",
+         "line-veronese-of-point", "incident-swapped"],
+)
+def test_a_line_for_a_point_or_a_point_for_a_line_raises(call):
+    with pytest.raises(WrongElement):
+        call()
 
 
 _AFFINE = {"t": "affine", "x": ["0"] * 8, "y": ["1"] + ["0"] * 7}

@@ -16,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given  # noqa: E402
+from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from okuboplane.algebra import (  # noqa: E402
@@ -41,13 +41,17 @@ from okuboplane.algebra import (  # noqa: E402
     solve_right,
     vec_to_matrix,
 )
+from okuboplane.collineation import PHI, PHI_INV, PPHI, PPHI_INV, compose  # noqa: E402
 from okuboplane.plane import (  # noqa: E402
     INFINITY_POINT,
     LINE_AT_INFINITY,
+    PLANES,
     AffinePoint,
     FiniteLine,
     SlopePoint,
     VerticalLine,
+    line_from_json,
+    point_from_json,
 )
 from okuboplane.scalar import (  # noqa: E402
     QS_ONE,
@@ -328,3 +332,39 @@ def test_points_and_lines_rebuild_from_their_fields(v, w):
     assert rebuilt == v and hash(rebuilt) == hash(v) == hash(fields)
     same = type(v) is type(w) and fields == tuple(getattr(w, n) for n in type(w).__slots__)
     assert (v == w) is same and (v != w) is not same
+
+
+@given(points, lines)
+def test_points_and_lines_round_trip_through_json(p, l):
+    assert point_from_json(p.to_json()) == p
+    assert line_from_json(l.to_json()) == l
+
+
+# -- join, meet and the chart maps on large-height points and lines ---------------
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(p=points, q=points)
+def test_join_is_incident_to_both_points(kind, p, q):
+    assume(p != q)
+    plane = PLANES[kind]
+    line = plane.join(p, q)
+    assert plane.incident(p, line) and plane.incident(q, line)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(l=lines, m=lines)
+def test_meet_is_incident_to_both_lines(kind, l, m):
+    assume(l != m)
+    plane = PLANES[kind]
+    point = plane.meet(l, m)
+    assert plane.incident(point, l) and plane.incident(point, m)
+
+
+@pytest.mark.parametrize(
+    "chart, inverse", [(PHI, PHI_INV), (PPHI, PPHI_INV)], ids=["phi", "pphi"]
+)
+@given(p=points, l=lines)
+def test_chart_map_and_its_inverse_fix_points_and_lines(chart, inverse, p, l):
+    for there_and_back in (compose(chart, inverse), compose(inverse, chart)):
+        assert there_and_back.apply_point(p) == p
+        assert there_and_back.apply_line(l) == l
