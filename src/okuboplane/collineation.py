@@ -29,9 +29,10 @@ from .algebra import (
 )
 from .plane import (
     INFINITY_POINT,
-    LINE_AT_INFINITY,
     AffinePoint,
     FiniteLine,
+    InfinityPoint,
+    PjElement,
     PjLine,
     PjPoint,
     Plane,
@@ -41,10 +42,11 @@ from .plane import (
     VeroneseVec,
     InfiniteElement,
     PostconditionViolation,
+    WrongElement,
     random_incident_pair,
     random_affine_point,
 )
-from .report import TheoremReport, pass_report
+from .report import Check, TheoremReport
 from .scalar import Frozen
 
 
@@ -54,7 +56,9 @@ class KindMismatch(TypeError):
 
 class Collineation(Frozen):
     """Base: a plane map with fixed source and target kinds, both ``kind`` unless
-    a subclass overrides them; it gives ``apply_point``, ``apply_line``, ``invert``."""
+    a subclass overrides them.  A subclass gives ``invert`` and one ``_image``
+    over all six point and line types (returning the elements it fixes); the
+    base applies it to a point or a line and rejects the other family."""
 
     __slots__ = ()
     kind: AlgebraKind
@@ -80,23 +84,30 @@ class Collineation(Frozen):
     def target_plane(self) -> Plane:
         return PLANES[self.target]
 
+    def apply_point(self, p: PjPoint) -> PjPoint:
+        if not isinstance(p, PjPoint):
+            raise WrongElement(f"apply_point takes a point, not {p}")
+        return self._image(p)
+
+    def apply_line(self, l: PjLine) -> PjLine:
+        if not isinstance(l, PjLine):
+            raise WrongElement(f"apply_line takes a line, not {l}")
+        return self._image(l)
+
 
 class Translation(Collineation):
     """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
 
     __slots__ = ("kind", "a", "b")
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(p.x + self.a, p.y + self.b)
-        return p
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            return FiniteLine(l.s, l.t - mul(self.kind, l.s, self.a) + self.b)
-        if isinstance(l, VerticalLine):
-            return VerticalLine(l.c + self.a)
-        return l
+    def _image(self, v: PjElement) -> PjElement:
+        if isinstance(v, AffinePoint):
+            return AffinePoint(v.x + self.a, v.y + self.b)
+        if isinstance(v, FiniteLine):
+            return FiniteLine(v.s, v.t - mul(self.kind, v.s, self.a) + self.b)
+        if isinstance(v, VerticalLine):
+            return VerticalLine(v.c + self.a)
+        return v
 
     def invert(self) -> Translation:
         return Translation(self.kind, -self.a, -self.b)
@@ -107,17 +118,14 @@ class Shear(Collineation):
 
     __slots__ = ("kind", "a")
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(p.x, p.y + mul(self.kind, self.a, p.x))
-        if isinstance(p, SlopePoint):
-            return SlopePoint(p.s + self.a)
-        return p
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            return FiniteLine(l.s + self.a, l.t)
-        return l
+    def _image(self, v: PjElement) -> PjElement:
+        if isinstance(v, AffinePoint):
+            return AffinePoint(v.x, v.y + mul(self.kind, self.a, v.x))
+        if isinstance(v, SlopePoint):
+            return SlopePoint(v.s + self.a)
+        if isinstance(v, FiniteLine):
+            return FiniteLine(v.s + self.a, v.t)
+        return v
 
     def invert(self) -> Shear:
         return Shear(self.kind, -self.a)
@@ -140,13 +148,11 @@ class Triality(Collineation):
     def _shift(self, v: VeroneseVec) -> VeroneseVec:
         return v.cyclic().cyclic() if self.inverse else v.cyclic()
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
+    def _image(self, v: PjElement) -> PjElement:
         plane = self.source_plane
-        return plane.point_from_veronese(self._shift(plane.point_to_veronese(p)))
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        plane = self.source_plane
-        return plane.line_from_veronese(self._shift(plane.line_to_veronese(l)))
+        if isinstance(v, PjPoint):
+            return plane.point_from_veronese(self._shift(plane.point_to_veronese(v)))
+        return plane.line_from_veronese(self._shift(plane.line_to_veronese(v)))
 
     def invert(self) -> Triality:
         return Triality(self.kind, not self.inverse)
@@ -164,19 +170,16 @@ class ChartMap(Collineation):
     def name(self) -> str:
         return self.label
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(self.f.apply(p.x), p.y)
-        if isinstance(p, SlopePoint):
-            return SlopePoint(self.g.apply(p.s))
-        return p
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            return FiniteLine(self.g.apply(l.s), l.t)
-        if isinstance(l, VerticalLine):
-            return VerticalLine(self.f.apply(l.c))
-        return l
+    def _image(self, v: PjElement) -> PjElement:
+        if isinstance(v, AffinePoint):
+            return AffinePoint(self.f.apply(v.x), v.y)
+        if isinstance(v, SlopePoint):
+            return SlopePoint(self.g.apply(v.s))
+        if isinstance(v, FiniteLine):
+            return FiniteLine(self.g.apply(v.s), v.t)
+        if isinstance(v, VerticalLine):
+            return VerticalLine(self.f.apply(v.c))
+        return v
 
     def invert(self) -> ChartMap:
         return ChartMap(self.inverse_label, self.label, self.target, self.source, self.g, self.f)
@@ -205,31 +208,31 @@ class OctReflection(Collineation):
     __slots__ = ()
     kind = AlgebraKind.OCTONION
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
-        if isinstance(p, AffinePoint):
-            return AffinePoint(p.y, p.x)
-        if isinstance(p, SlopePoint):
-            if not p.s:
+    def _image(self, v: PjElement) -> PjElement:
+        if isinstance(v, AffinePoint):
+            return AffinePoint(v.y, v.x)
+        if isinstance(v, SlopePoint):
+            if not v.s:
                 return INFINITY_POINT
-            return SlopePoint(solve_left(self.kind, p.s, E))  # s^-1
-        return SlopePoint(Vec8.zero())
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        if isinstance(l, FiniteLine):
-            if not l.s:
-                return VerticalLine(l.t)
-            s_inv = solve_left(self.kind, l.s, E)
-            return FiniteLine(s_inv, -mul(self.kind, s_inv, l.t))
-        if isinstance(l, VerticalLine):
-            return FiniteLine(Vec8.zero(), l.c)
-        return LINE_AT_INFINITY
+            return SlopePoint(solve_left(self.kind, v.s, E))  # s^-1
+        if isinstance(v, InfinityPoint):
+            return SlopePoint(Vec8.zero())
+        if isinstance(v, FiniteLine):
+            if not v.s:
+                return VerticalLine(v.t)
+            s_inv = solve_left(self.kind, v.s, E)
+            return FiniteLine(s_inv, -mul(self.kind, s_inv, v.t))
+        if isinstance(v, VerticalLine):
+            return FiniteLine(Vec8.zero(), v.c)
+        return v
 
     def invert(self) -> OctReflection:
         return OctReflection()
 
 
 class Composite(Collineation):
-    """Left-to-right chain of collineations with matching kinds."""
+    """Left-to-right chain of collineations with matching kinds; a step may
+    itself be a composite."""
 
     __slots__ = ("steps",)
 
@@ -238,9 +241,7 @@ class Composite(Collineation):
             raise ValueError("empty composite")
         for first, second in zip(steps, steps[1:]):
             if first.target is not second.source:
-                raise KindMismatch(
-                    f"cannot chain {first.target.value} -> {second.source.value}"
-                )
+                raise KindMismatch(f"cannot chain {first.target.value} -> {second.source.value}")
         super().__init__(steps)
 
     @property
@@ -251,15 +252,10 @@ class Composite(Collineation):
     def target(self) -> AlgebraKind:
         return self.steps[-1].target
 
-    def apply_point(self, p: PjPoint) -> PjPoint:
+    def _image(self, v: PjElement) -> PjElement:
         for step in self.steps:
-            p = step.apply_point(p)
-        return p
-
-    def apply_line(self, l: PjLine) -> PjLine:
-        for step in self.steps:
-            l = step.apply_line(l)
-        return l
+            v = step._image(v)
+        return v
 
     def invert(self) -> Composite:
         return Composite(tuple(step.invert() for step in reversed(self.steps)))
@@ -267,48 +263,39 @@ class Composite(Collineation):
 
 def compose(*colls: Collineation) -> Composite:
     """compose(c1, c2)(p) applies c1 first, then c2."""
-    steps: list[Collineation] = []
-    for c in colls:
-        steps.extend(c.steps if isinstance(c, Composite) else (c,))
-    return Composite(tuple(steps))
+    return Composite(colls)
+
+
+def _keeps_incidence(maps: tuple[Collineation, Collineation], rng) -> dict | None:
+    """An incident pair whose images are not incident: forward, then inverse."""
+    for direction, c in zip(("forward", "inverse"), maps):
+        p, l = random_incident_pair(c.source_plane, rng)
+        if not c.target_plane.incident(c.apply_point(p), c.apply_line(l)):
+            return {"direction": direction, "point": p.to_json(), "line": l.to_json()}
+    return None
+
+
+def _keeps_distance(c: Collineation, rng) -> dict | None:
+    """An affine pair whose n(dx)^2 + n(dy)^2 changes under the map."""
+    p, q = random_affine_point(rng), random_affine_point(rng)
+    pi, qi = c.apply_point(p), c.apply_point(q)
+    if not (isinstance(pi, AffinePoint) and isinstance(qi, AffinePoint)):
+        return {"point": p.to_json(), "reason": "image not affine"}
+    if c.target_plane.distance(pi, qi) != c.source_plane.distance(p, q):
+        return {"p": p.to_json(), "q": q.to_json()}
+    return None
 
 
 def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremReport:
-    """Sample incident pairs in the source plane, check images are incident in
-    the target plane, and the converse through the inverse map."""
-    src, dst = c.source_plane, c.target_plane
-    inv = c.invert()
-
-    def outcomes():
-        for i in range(trials):
-            rng = trial_rng(seed, i)
-            p, l = random_incident_pair(src, rng)
-            if not dst.incident(c.apply_point(p), c.apply_line(l)):
-                yield {"direction": "forward", "point": p.to_json(), "line": l.to_json()}
-            q, m = random_incident_pair(dst, rng)
-            if not src.incident(inv.apply_point(q), inv.apply_line(m)):
-                yield {"direction": "inverse", "point": q.to_json(), "line": m.to_json()}
-
-    return pass_report(f"incidence-preservation:{c.name}", c.source, seed, trials, outcomes)
+    """Random incident pairs stay incident under the map and under its inverse."""
+    row = Check(f"incidence-preservation:{c.name}", (c.source,), _keeps_incidence)
+    return row.report(c.source, (c, c.invert()), trials, seed)
 
 
 def is_isometry(c: Collineation, trials: int, seed: int) -> TheoremReport:
-    """Exact equality of n(dx)^2 + n(dy)^2 before and after the map, on
-    random affine pairs."""
-    src, dst = c.source_plane, c.target_plane
-
-    def outcomes():
-        for i in range(trials):
-            rng = trial_rng(seed, i)
-            p, q = random_affine_point(rng), random_affine_point(rng)
-            d_before = src.distance(p, q)
-            pi, qi = c.apply_point(p), c.apply_point(q)
-            if not (isinstance(pi, AffinePoint) and isinstance(qi, AffinePoint)):
-                yield {"point": p.to_json(), "reason": "image not affine"}
-            elif dst.distance(pi, qi) != d_before:
-                yield {"p": p.to_json(), "q": q.to_json()}
-
-    return pass_report(f"isometry:{c.name}", c.source, seed, trials, outcomes)
+    """Exact equality of n(dx)^2 + n(dy)^2 before and after the map on random affine pairs."""
+    row = Check(f"isometry:{c.name}", (c.source,), _keeps_distance)
+    return row.report(c.source, c, trials, seed)
 
 
 def transported_reflection(p: PjPoint) -> PjPoint:

@@ -258,12 +258,10 @@ class Plane(Frozen):
         return INFINITY_POINT
 
     def parallel_through(self, l: PjLine, p: AffinePoint) -> PjLine:
-        """The unique affine line through p parallel to l."""
-        if isinstance(l, FiniteLine):
-            return FiniteLine(l.s, p.y - self.mul(l.s, p.x))
-        if isinstance(l, VerticalLine):
-            return VerticalLine(p.x)
-        raise InfiniteElement("no affine parallel to the line at infinity")
+        """The unique affine line through p parallel to l: p joined to l's point at infinity."""
+        if l == LINE_AT_INFINITY:
+            raise InfiniteElement("no affine parallel to the line at infinity")
+        return self.join(p, self.meet(l, LINE_AT_INFINITY))
 
     # -- Veronese correspondence -------------------------------------------
 

@@ -8,16 +8,18 @@ recorded and *absence* of one within budget is logged as a failure).  Either
 way the invariant is the same: verdict is "pass" iff ``failures`` is empty.
 A ``PostconditionViolation`` raised while the outcomes are drawn ends the
 report with that error as a failure, never as a witness.
+The rows ``Check``, ``Scan`` and ``Build`` each make one report.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .algebra import AlgebraKind
+from .algebra import AlgebraKind, trial_rng
 from .plane import PostconditionViolation
 
 # Produces a report's outcomes (None for a trial with nothing to record); it is
@@ -117,6 +119,46 @@ def witness_report(
         name=name, kind=kind.value, seed=seed, trials=trials, mode="expect-witness",
         failures=broken + missed, witnesses=witnesses, elapsed_ms=elapsed(),
     )
+
+
+class Check(NamedTuple):
+    """A sampled row.  ``check(arg, rng)`` returns a failure, or a witness
+    when ``missing`` is set (expect-witness: it says what finding none means).
+    ``budget`` turns the --trials value into the row's trial count."""
+
+    name: str
+    kinds: tuple[AlgebraKind, ...]
+    check: Callable[[object, random.Random], Optional[dict]]
+    budget: Callable[[int], int] = lambda trials: trials
+    missing: Optional[str] = None
+
+    def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
+        return (self.check(arg, trial_rng(seed, i)) for i in range(n))
+
+    def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
+        n = self.budget(trials)
+        outcomes = lambda: self.outcomes(arg, n, seed)
+        if self.missing is None:
+            return pass_report(self.name, kind, seed, n, outcomes)
+        return witness_report(self.name, kind, seed, n, outcomes, self.missing)
+
+
+class Scan(Check):
+    """A row whose generator ``check(arg, n, seed)`` yields the outcomes
+    itself: a basis scan, or a search that derives its own seeds."""
+
+    def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
+        return self.check(arg, n, seed)
+
+
+class Build(NamedTuple):
+    """A row whose report ``build(arg, trials, seed)`` makes whole."""
+
+    kinds: tuple[AlgebraKind, ...]
+    build: Callable[[object, int, int], TheoremReport]
+
+    def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
+        return self.build(arg, trials, seed)
 
 
 def reports_to_json(reports: list[TheoremReport]) -> str:

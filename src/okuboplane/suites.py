@@ -1,10 +1,10 @@
 """Named verification suites, one list of reports per CLI command.
 
-A suite is a table of rows.  A ``Check`` row samples ``check(arg, rng)`` on
-the derived rng of each trial, where ``arg`` is the kind or its plane; a
-``Scan`` row's generator yields its outcomes itself; a ``Build`` row makes its
-report whole.  Reports come kinds-outer, rows inner, one for each row that
-lists the kind.
+A suite is a table of the rows of :mod:`.report`.  A ``Check`` row samples
+``check(arg, rng)`` on the derived rng of each trial, where ``arg`` is the
+kind or its plane; a ``Scan`` row's generator yields its outcomes itself; a
+``Build`` row makes its report whole.  Reports come kinds-outer, rows inner,
+one for each row that lists the kind.
 
 Expected-fail statements (Moufang laws in the symmetric algebras, the full
 Desargues theorem, PTR linearity, the coordinate swap) succeed by *finding*
@@ -14,9 +14,8 @@ exit-status contract stays monotone.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations, product
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable
 
 from . import theorems
 from .algebra import (
@@ -76,7 +75,7 @@ from .plane import (
     random_non_incident_pair,
     random_point,
 )
-from .report import TheoremReport, pass_report, stopwatch, witness_report
+from .report import Build, Check, Scan, TheoremReport, stopwatch, witness_report
 from .scalar import QS_ONE
 
 OK, PA, OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
@@ -92,46 +91,6 @@ def resolve_kinds(kind: str) -> list[AlgebraKind]:
 
 def _upto(cap: int) -> Callable[[int], int]:
     return lambda trials: min(trials, cap)
-
-
-class Check(NamedTuple):
-    """A sampled row.  ``check(arg, rng)`` returns a failure, or a witness
-    when ``missing`` is set (expect-witness: it says what finding none means).
-    ``budget`` turns the --trials value into the row's trial count."""
-
-    name: str
-    kinds: tuple[AlgebraKind, ...]
-    check: Callable[[object, random.Random], Optional[dict]]
-    budget: Callable[[int], int] = lambda trials: trials
-    missing: Optional[str] = None
-
-    def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
-        return (self.check(arg, trial_rng(seed, i)) for i in range(n))
-
-    def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
-        n = self.budget(trials)
-        outcomes = lambda: self.outcomes(arg, n, seed)
-        if self.missing is None:
-            return pass_report(self.name, kind, seed, n, outcomes)
-        return witness_report(self.name, kind, seed, n, outcomes, self.missing)
-
-
-class Scan(Check):
-    """A row whose generator ``check(arg, n, seed)`` yields the outcomes
-    itself: a basis scan, or a search that derives its own seeds."""
-
-    def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
-        return self.check(arg, n, seed)
-
-
-class Build(NamedTuple):
-    """A row whose report ``build(arg, trials, seed)`` makes whole."""
-
-    kinds: tuple[AlgebraKind, ...]
-    build: Callable[[object, int, int], TheoremReport]
-
-    def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
-        return self.build(arg, trials, seed)
 
 
 def _suite(rows, arg=lambda kind: kind, kinds=resolve_kinds):

@@ -3,6 +3,7 @@ import pytest
 from okuboplane.algebra import (
     IDENTITY,
     TAU,
+    TAU2,
     AlgebraKind,
     E,
     LinMap8,
@@ -16,6 +17,8 @@ from okuboplane.algebra import (
     trivolution_sq,
 )
 from okuboplane.collineation import (
+    ChartMap,
+    Collineation,
     Composite,
     KindMismatch,
     OctReflection,
@@ -43,6 +46,7 @@ from okuboplane.plane import (
     InfiniteElement,
     SlopePoint,
     VerticalLine,
+    WrongElement,
     random_affine_point,
     random_line,
     random_point,
@@ -200,6 +204,15 @@ def test_shear_is_generally_not_isometry():
     assert not report.ok  # shears stretch second coordinates
 
 
+def test_incidence_preservation_fails_for_a_wrong_target_plane():
+    bad = ChartMap("Bad", "BadInv", OK, OC, TAU2, TAU)  # PPHI's maps, octonionic target
+    report = preserves_incidence(bad, 20, 0)
+    assert (report.name, report.kind, report.trials) == ("incidence-preservation:Bad", "okubo", 20)
+    # a trial records its first broken direction only
+    assert not report.ok and len(report.failures) <= 20
+    assert {f["direction"] for f in report.failures} == {"forward", "inverse"}
+
+
 def test_phi_inverse_round_trips():
     round_trip = compose(PHI, PHI_INV)
     p_round = compose(PPHI, PPHI_INV)
@@ -249,6 +262,38 @@ def test_maps_of_one_plane_take_source_and_target_from_kind(c, kind):
     assert c.kind is c.source is c.target is kind
     assert c.source_plane is c.target_plane is PLANES[kind]
     assert c.invert().source is c.invert().target is kind
+
+
+WRONG_FAMILY_MAPS = {
+    "translation": Translation(OK, E, E),
+    "shear": Shear(OK, E),
+    "triality": Triality(OK),
+    "phi": PHI,
+    "oct-reflection": OctReflection(),
+    "phi-then-inverse": compose(PHI, PHI_INV),
+}
+SWAPPED = [
+    ("apply_point", FiniteLine(E, E)), ("apply_point", VerticalLine(E)),
+    ("apply_point", LINE_AT_INFINITY), ("apply_line", AffinePoint(E, E)),
+    ("apply_line", SlopePoint(E)), ("apply_line", INFINITY_POINT),
+]
+
+
+@pytest.mark.parametrize(
+    "method, element", SWAPPED, ids=[f"{m}-{type(v).__name__}" for m, v in SWAPPED]
+)
+@pytest.mark.parametrize("name", WRONG_FAMILY_MAPS)
+def test_apply_rejects_an_element_of_the_other_family(name, method, element):
+    with pytest.raises(WrongElement):
+        getattr(WRONG_FAMILY_MAPS[name], method)(element)
+
+
+def test_only_the_base_applies_a_map():
+    # each map states one image ladder; the base checks the family around it
+    for cls in (Translation, Shear, Triality, ChartMap, OctReflection, Composite):
+        assert "_image" in vars(cls)
+        assert "apply_point" not in vars(cls) and "apply_line" not in vars(cls)
+    assert "apply_point" in vars(Collineation) and "apply_line" in vars(Collineation)
 
 
 # -- octonion reflection -------------------------------------------------------------

@@ -403,6 +403,20 @@ def test_a_line_for_a_point_or_a_point_for_a_line_raises(call):
         call()
 
 
+def test_parallel_through_is_the_join_with_the_point_at_infinity():
+    p, s, t = AffinePoint(E, I1), E + I1, I1
+    expected = FiniteLine(s, I1 - OKUBO_PLANE.mul(s, E))
+    assert OKUBO_PLANE.parallel_through(FiniteLine(s, t), p) == expected
+    assert OKUBO_PLANE.parallel_through(VerticalLine(t), p) == VerticalLine(E)
+    # the postconditions of meet and join reject a point for l and a line for p
+    with pytest.raises(WrongElement):
+        OKUBO_PLANE.parallel_through(AffinePoint(E, E), AffinePoint(E, E))
+    with pytest.raises(WrongElement):
+        OKUBO_PLANE.parallel_through(FiniteLine(E, E), FiniteLine(E, E))
+    with pytest.raises(InfiniteElement):
+        OKUBO_PLANE.parallel_through(LINE_AT_INFINITY, p)
+
+
 _AFFINE = {"t": "affine", "x": ["0"] * 8, "y": ["1"] + ["0"] * 7}
 
 

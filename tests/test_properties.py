@@ -1,5 +1,6 @@
 """Hypothesis properties of the exact scalars, the matrix model, the
-three products on ``Vec8`` and the points and lines built on them.
+three products on ``Vec8`` and the points, lines and collineations built
+on them.
 
 Values are drawn mixed and of large height (components up to ~2^96 over
 denominators up to ~2^80), with exact zeros, integral (denominator 1),
@@ -41,7 +42,17 @@ from okuboplane.algebra import (  # noqa: E402
     solve_right,
     vec_to_matrix,
 )
-from okuboplane.collineation import PHI, PHI_INV, PPHI, PPHI_INV, compose  # noqa: E402
+from okuboplane.collineation import (  # noqa: E402
+    PHI,
+    PHI_INV,
+    PPHI,
+    PPHI_INV,
+    OctReflection,
+    Shear,
+    Translation,
+    Triality,
+    compose,
+)
 from okuboplane.plane import (  # noqa: E402
     INFINITY_POINT,
     LINE_AT_INFINITY,
@@ -368,3 +379,43 @@ def test_chart_map_and_its_inverse_fix_points_and_lines(chart, inverse, p, l):
     for there_and_back in (compose(chart, inverse), compose(inverse, chart)):
         assert there_and_back.apply_point(p) == p
         assert there_and_back.apply_line(l) == l
+
+
+# a map of each closed-form type, from the drawn vectors a and b
+_MAKERS = {
+    "translation-okubo": lambda a, b: Translation(AlgebraKind.OKUBO, a, b),
+    "shear-octonion": lambda a, b: Shear(AlgebraKind.OCTONION, a),
+    "triality-okubo": lambda a, b: Triality(AlgebraKind.OKUBO),
+    "triality-okubo-inverse": lambda a, b: Triality(AlgebraKind.OKUBO, True),
+    "triality-para": lambda a, b: Triality(AlgebraKind.PARA_OCTONION),
+    "triality-para-inverse": lambda a, b: Triality(AlgebraKind.PARA_OCTONION, True),
+    "oct-reflection": lambda a, b: OctReflection(),
+}
+
+
+@pytest.mark.parametrize("make", _MAKERS.values(), ids=list(_MAKERS))
+@given(a=vectors, b=vectors, p=points, l=lines)
+def test_inverse_undoes_each_map(make, a, b, p, l):
+    c = make(a, b)
+    inverse = c.invert()
+    assert inverse.apply_point(c.apply_point(p)) == p
+    assert inverse.apply_line(c.apply_line(l)) == l
+
+
+_TRIPLES = {
+    "shear-phi-reflection": lambda a: (Shear(AlgebraKind.OKUBO, a), PHI, OctReflection()),
+    "translation-pphi-inv-triality": lambda a: (
+        Translation(AlgebraKind.PARA_OCTONION, a, a), PPHI_INV, Triality(AlgebraKind.OKUBO)),
+}
+
+
+@pytest.mark.parametrize("make", _TRIPLES.values(), ids=list(_TRIPLES))
+@given(a=vectors, p=points, l=lines)
+def test_nested_composites_apply_like_the_flat_one(make, a, p, l):
+    first, second, third = make(a)
+    flat = compose(first, second, third)
+    for nested in (compose(compose(first, second), third), compose(first, compose(second, third))):
+        assert (nested.source, nested.target) == (flat.source, flat.target)
+        assert nested.apply_point(p) == flat.apply_point(p)
+        assert nested.apply_line(l) == flat.apply_line(l)
+        assert nested.invert().apply_point(nested.apply_point(p)) == p
