@@ -426,6 +426,8 @@ class StructureTable(Frozen):
 
 @lru_cache(maxsize=None)
 def structure_table(kind: AlgebraKind) -> StructureTable:
+    if not isinstance(kind, AlgebraKind):
+        raise TypeError(f"an algebra kind is an AlgebraKind, not {kind!r}")
     if kind is AlgebraKind.OKUBO:
         mats = basis_matrices()
         products = [
@@ -467,11 +469,19 @@ class GramMatrix(Frozen):
         ))
 
     def leading_minors(self) -> list[QSqrt3]:
-        """Exact determinants of the 8 leading principal submatrices."""
-        minors = []
-        for size in range(1, 9):
-            rows = [list(self.g[i][:size]) for i in range(size)]
-            minors.append(_det(rows))
+        """Exact determinants of the leading principal submatrices, read as
+        the pivots of one fraction-free (Bareiss) elimination of ``g``.  No
+        row swap keeps a leading minor, so a zero pivot ends the list."""
+        rows, minors, previous = [list(row) for row in self.g], [], QS_ONE
+        for k, top in enumerate(rows):
+            pivot = top[k]
+            minors.append(pivot)
+            if not pivot:
+                break
+            for row in rows[k + 1:]:
+                row[k + 1:] = [(pivot * x - row[k] * y) / previous
+                               for x, y in zip(row[k + 1:], top[k + 1:])]
+            previous = pivot
         return minors
 
     def is_positive_definite(self) -> bool:
@@ -479,27 +489,6 @@ class GramMatrix(Frozen):
 
     def to_json(self) -> dict:
         return {"basis": list(BASIS_NAMES), "g": [[render(v) for v in row] for row in self.g]}
-
-
-def _det(rows: list[list[QSqrt3]]) -> QSqrt3:
-    # fraction-free is unnecessary at 8x8: plain elimination with exact division
-    n = len(rows)
-    det = QS_ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return QS_ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        inv_p = pivot.inv()
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv_p
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
 
 
 @lru_cache(maxsize=1)

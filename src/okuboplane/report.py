@@ -124,7 +124,8 @@ def witness_report(
 class Check(NamedTuple):
     """A sampled row.  ``check(arg, rng)`` returns a failure, or a witness
     when ``missing`` is set (expect-witness: it says what finding none means).
-    ``budget`` turns the --trials value into the row's trial count."""
+    ``budget`` turns the --trials value into the row's trial count, which
+    must be at least one: a report that checked nothing cannot fail."""
 
     name: str
     kinds: tuple[AlgebraKind, ...]
@@ -137,6 +138,8 @@ class Check(NamedTuple):
 
     def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
         n = self.budget(trials)
+        if n < 1:
+            raise ValueError(f"{self.name}: {trials} trials give {n}, and a report needs one")
         outcomes = lambda: self.outcomes(arg, n, seed)
         if self.missing is None:
             return pass_report(self.name, kind, seed, n, outcomes)

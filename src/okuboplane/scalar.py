@@ -269,46 +269,31 @@ def render(x: QSqrt3) -> str:
     return f"{_render_fraction(a)} + {bs}"
 
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<root1>sqrt3))?"
-    r"|(?P<root2>sqrt3)"
-    r")\s*"
+_SCALAR_RE = re.compile(
+    r"(?P<a>-?\d+(?:/\d+)?)?(?P<root>(?P<sign> [+-] |^-?)(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt3)?"
 )
 
 
 def parse(text: str) -> QSqrt3:
-    """Parse the textual form produced by :func:`render`.
+    """Parse exactly the text form that :func:`render` writes, e.g. ``"2"``,
+    ``"-1/2"``, ``"sqrt3"``, ``"3/2*sqrt3"`` and ``"1/2 - 5*sqrt3"``.
 
-    Accepts e.g. ``"2"``, ``"-1/2"``, ``"sqrt3"``, ``"3/2*sqrt3"`` and
-    ``"1/2 - 5*sqrt3"``.  Raises ``ValueError`` on anything else.
+    ``ValueError`` unless ``render`` gives ``text`` back, so ``"2/4"``,
+    ``" 2"``, ``"+1"``, ``"007"``, ``"1*sqrt3"`` and ``"sqrt3 + 1"`` fail.
     """
-    pos = 0
-    a = None
-    b = None
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"cannot parse Q(sqrt 3) scalar: {text!r}")
-        if m.group("sign") is None and (a is not None or b is not None):
-            raise ValueError(f"missing sign between terms in {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        try:
-            coef = Fraction(m.group("coef") or 1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        if m.group("root1") or m.group("root2"):
-            if b is not None:
-                raise ValueError(f"duplicate sqrt3 term in {text!r}")
-            b = sign * coef
-        else:
-            if a is not None:
-                raise ValueError(f"duplicate rational term in {text!r}")
-            a = sign * coef
-        pos = m.end()
-    if a is None and b is None:
-        raise ValueError("empty Q(sqrt 3) scalar")
-    return QSqrt3(a or 0, b or 0)
+    m = _SCALAR_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"cannot parse Q(sqrt 3) scalar: {text!r}")
+    a, root, sign, b = m.group("a", "root", "sign", "b")
+    try:
+        rational = Fraction(a or 0)
+        surd = Fraction(b or 1) * (-1 if "-" in sign else 1) if root else 0
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    value = QSqrt3(rational, surd)
+    if render(value) != text:
+        raise ValueError(f"{text!r} is not the canonical form {render(value)!r}")
+    return value
 
 
 def parse_list(data: object, n: int) -> tuple[QSqrt3, ...]:

@@ -26,6 +26,7 @@ from okuboplane.algebra import (
     conjugate_oct,
     entry_conj,
     gram,
+    left_quotient,
     matrix_norm,
     matrix_to_vec,
     mul,
@@ -333,8 +334,7 @@ def test_gram_values_and_minors():
             if {i, j} not in ({0}, {4}, {0, 4}) and i != j and {i, j} != {0, 4}:
                 assert g[i][j] == QS_ZERO
     assert gram().is_positive_definite()
-    minors = gram().leading_minors()
-    assert minors[0] == q(2) and all(m.sign() > 0 for m in minors)
+    assert gram().leading_minors() == [q(m) for m in (2, 4, 8, 16, 8, 16, 32, 64)]
 
 
 def test_norm_positive_definite_random():
@@ -598,3 +598,13 @@ def test_kind_labels():
     assert AlgebraKind("octonion") is OC
     with pytest.raises(ValueError):
         AlgebraKind("sedenion")
+
+
+@pytest.mark.parametrize("kind", ["okubo", None], ids=["string", "none"])
+def test_a_kind_that_is_not_an_algebra_kind_raises(kind):
+    i1, i2 = BASIS[1], BASIS[2]
+    assert str(mul(OK, i1, i2)) == "(1/2*sqrt3)*i3 + (-1/2)*i7"
+    with pytest.raises(TypeError, match="AlgebraKind"):
+        mul(kind, i1, i2)
+    with pytest.raises(TypeError, match="AlgebraKind"):
+        left_quotient(kind, i1, i2)

@@ -3,7 +3,10 @@ import re
 
 import pytest
 
+from okuboplane.algebra import Vec8
 from okuboplane.cli import build_parser, main
+from okuboplane.plane import PjPoint, line_from_json, point_from_json
+from okuboplane.theorems import DesarguesConfig
 
 
 def run_cli(args, capsys):
@@ -166,3 +169,30 @@ def test_missing_ptr_witness_fails_report(monkeypatch, capsys):
     assert _failed(out)["ptr-nonlinearity"] == [
         {"reason": "no witness found: basis pair with theta(s, x, 0) != s.x"}
     ]
+
+
+def _replay(node, readers):
+    """Read every value in a witness back through its strict reader and check
+    that writing it again gives the same JSON; returns how many it read."""
+    if isinstance(node, list) and len(node) == 8 and all(isinstance(s, str) for s in node):
+        reader = Vec8.from_json
+    elif isinstance(node, dict) and node.get("t") is not None:
+        reader = point_from_json if node["t"] in PjPoint._types else line_from_json
+    elif isinstance(node, dict) and {"center", "axis", "a", "b", "c"} <= node.keys():
+        reader = DesarguesConfig.from_json
+    else:
+        children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+        return sum(_replay(child, readers) for child in children)
+    assert reader(node).to_json() == node
+    readers.add(reader.__qualname__)
+    return 1
+
+
+def test_every_witness_value_replays_through_its_strict_reader(capsys):
+    rc, out = run_cli(["all", "--kind", "all", "--seed", "0", "--trials", "3",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    readers = set()
+    count = sum(_replay(report["witnesses"], readers) for report in json.loads(out))
+    assert count >= 50
+    assert readers == {"Vec8.from_json", "PjElement.from_json", "DesarguesConfig.from_json"}

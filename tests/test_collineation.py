@@ -204,6 +204,21 @@ def test_shear_is_generally_not_isometry():
     assert not report.ok  # shears stretch second coordinates
 
 
+@pytest.mark.parametrize("check", [preserves_incidence, is_isometry])
+def test_a_report_needs_at_least_one_trial(check):
+    # zero trials would give a passing report that checked nothing
+    with pytest.raises(ValueError, match="0 trials"):
+        check(PHI, 0, 0)
+    assert check(PHI, 1, 0).trials == 1
+
+
+def test_translation_with_a_string_kind_raises():
+    a, b = _ab()
+    s, t = (random_vec(trial_rng(4, i)) for i in range(2))
+    with pytest.raises(TypeError, match="AlgebraKind"):
+        Translation("okubo", a, b).apply_line(FiniteLine(s, t))
+
+
 def test_incidence_preservation_fails_for_a_wrong_target_plane():
     bad = ChartMap("Bad", "BadInv", OK, OC, TAU2, TAU)  # PPHI's maps, octonionic target
     report = preserves_incidence(bad, 20, 0)

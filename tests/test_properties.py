@@ -196,6 +196,17 @@ def test_scalar_parse_render_round_trip(x):
     assert parse(render(x)) == x
 
 
+@example("2/4")
+@example("-1/3 + 2*sqrt3")
+@given(st.one_of(st.text(alphabet="0123456789/+-* sqrt"), scalars.map(render)))
+def test_scalar_parse_accepts_exactly_what_render_writes(text):
+    try:
+        value = parse(text)
+    except ValueError:
+        return
+    assert render(value) == text
+
+
 # -- Z[sqrt3, i] entries and integer matrices against dense Fractions ----------
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))  # sqrt3^m i^n for a, b, c, d

@@ -119,6 +119,10 @@ def test_parse_rejects_malformed():
     for text in ("", "foo", "1 + 2", "1 2*sqrt3", "sqrt3 + sqrt3 + 1"):
         with pytest.raises(ValueError):
             parse(text)
+    # parse accepts only what render writes, and render writes none of these
+    for text in ("2/4", "  2  ", "+1", "007", "0*sqrt3", "1*sqrt3", "sqrt3 + 1"):
+        with pytest.raises(ValueError, match="canonical form|cannot parse"):
+            parse(text)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from okuboplane.algebra import (
     gram,
     structure_table,
 )
+from okuboplane.scalar import QS_ZERO
 
 OK = AlgebraKind.OKUBO
 ROWS = {getattr(row, "name", None): row for row in suites.IDENTITY_ROWS}
@@ -47,6 +48,16 @@ def test_gram_minors_name_the_first_non_positive_minor(monkeypatch):
     report = _report("gram-positive-definite-minors")
     assert report.verdict == "fail"
     assert [f["minor"] for f in report.failures] == [4, 5, 6, 7, 8]
+
+
+def test_gram_minors_stop_at_a_zero_pivot(monkeypatch):
+    g = [list(row) for row in gram().g]
+    g[1][1] = QS_ZERO
+    monkeypatch.setattr(suites, "gram", lambda: GramMatrix(tuple(map(tuple, g))))
+    report = _report("gram-positive-definite-minors")
+    assert report.verdict == "fail"
+    # no row swap keeps a leading minor, so the elimination ends at minor 2
+    assert report.failures == [{"minor": 2, "value": "0"}]
 
 
 def test_trivolution_order_names_the_corrupted_basis_vector(monkeypatch):
