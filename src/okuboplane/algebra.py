@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _canonical, parse_list, render
+from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _canonical, _plus, parse_list, render
 
 _gcd, _lcm, _new = math.gcd, math.lcm, object.__new__
 
@@ -191,9 +191,10 @@ class LinMap8(Frozen):
 
 def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[QSqrt3]:
     """The coordinates of sum_ij x_i y_j maps[i](basis_j), read from the
-    integer columns: each term is one integer triple over ``d_x d_y D`` and
-    one normalisation, added to a ``QSqrt3`` accumulator.  ``mul``,
-    ``polar`` and ``LinMap8.apply`` all read the integer rows through it."""
+    integer columns: each term is one integer triple over ``d_x d_y D``,
+    added unnormalised to a ``QSqrt3`` accumulator through ``scalar._plus``,
+    so a term costs one normalisation.  ``mul``, ``polar`` and
+    ``LinMap8.apply`` all read the integer rows through it."""
     out = [QS_ZERO] * 8
     ys = [(j, c.p, c.q, c.d) for j, c in enumerate(y.c) if c]
     for xi, f in zip(xs, maps):
@@ -207,7 +208,7 @@ def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[QS
                 continue
             sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
             for k, a, b in column:
-                out[k] = out[k] + _canonical(a * sp + 3 * b * sq, a * sq + b * sp, sd)
+                out[k] = _plus(out[k], a * sp + 3 * b * sq, a * sq + b * sp, sd)
     return out
 
 

@@ -321,7 +321,10 @@ def transported_reflection_closed_form(p: PjPoint) -> AffinePoint:
 def g2_triple_check(a: LinMap8, b: LinMap8, c: LinMap8, trials: int, seed: int) -> bool:
     """Related-triple conditions with respect to the Okubo product:
     B(s*x) = C(s)*A(x), B(e*x) = e*A(x), B(x*e) = C(x)*e, and the three maps
-    fix e.  Sampled on random pairs; any exact violation returns False."""
+    fix e.  Sampled on ``trials`` random pairs; any exact violation returns
+    False.  ``ValueError`` when ``trials < 1``: a vacuous check accepts nothing."""
+    if trials < 1:
+        raise ValueError(f"g2_triple_check needs at least one trial, not {trials}")
     ok = AlgebraKind.OKUBO
     if a.apply(E) != E or b.apply(E) != E or c.apply(E) != E:
         return False

@@ -11,7 +11,9 @@ Internally a value is stored as one integer triple ``(p + q*sqrt3)/d`` with
 divide coordinates, so arbitrary-precision integers are mandatory and the
 single shared denominator keeps the gcd work per operation minimal (none
 at all when the denominator is 1).  Every value, ``QSqrt3(a, b)`` included,
-is built by one normaliser, ``_canonical``, which writes the slots directly.
+is built by one normaliser, ``_canonical``, which writes the slots directly,
+and every sum by one adder, ``_plus``, which adds a raw integer triple to a
+value: ``+``, ``-`` and the product kernel's terms all go through it.
 """
 
 from __future__ import annotations
@@ -143,16 +145,10 @@ class QSqrt3:
         return Fraction(self.q, self.d)
 
     def __add__(self, other: QSqrt3) -> QSqrt3:
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _canonical(self.p + other.p, self.q + other.q, d1)
-        return _canonical(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
+        return _plus(self, other.p, other.q, other.d)
 
     def __sub__(self, other: QSqrt3) -> QSqrt3:
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _canonical(self.p - other.p, self.q - other.q, d1)
-        return _canonical(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1, d1 * d2)
+        return _plus(self, -other.p, -other.q, other.d)
 
     def __neg__(self) -> QSqrt3:
         return _raw(-self.p, -self.q, self.d)
@@ -235,6 +231,15 @@ def _canonical(p: int, q: int, d: int) -> QSqrt3:
     _set_q(out, q)
     _set_d(out, d)
     return out
+
+
+def _plus(x: QSqrt3, p: int, q: int, d: int) -> QSqrt3:
+    """The value ``x + (p + q*sqrt3)/d`` for any integer triple with ``d != 0``,
+    by one normalisation: the one sum, behind ``+``, ``-`` and ``_contract``."""
+    xd = x.d
+    if xd == d:
+        return _canonical(x.p + p, x.q + q, d)
+    return _canonical(x.p * d + p * xd, x.q * d + q * xd, xd * d)
 
 
 def _raw(p: int, q: int, d: int) -> QSqrt3:

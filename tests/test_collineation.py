@@ -409,6 +409,13 @@ def test_g2_triple_requires_fixing_e():
     assert not g2_triple_check(shifted, IDENTITY, IDENTITY, trials=5, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_g2_triple_refuses_a_vacuous_budget(trials):
+    # with no trials only the fixing of e would be checked, and TAU would pass
+    with pytest.raises(ValueError, match="at least one trial"):
+        g2_triple_check(TAU, IDENTITY, IDENTITY, trials=trials, seed=0)
+
+
 @pytest.mark.parametrize("chart", [PHI, PPHI], ids=["phi", "pphi"])
 def test_chart_maps_invert_exactly(chart):
     inverse = chart.invert()

@@ -40,6 +40,7 @@ from okuboplane.algebra import (  # noqa: E402
     product_conversion_crosscheck,
     solve_left,
     solve_right,
+    structure_table,
     vec_to_matrix,
 )
 from okuboplane.collineation import (  # noqa: E402
@@ -69,6 +70,7 @@ from okuboplane.scalar import (  # noqa: E402
     QS_ZERO,
     SQRT3,
     QSqrt3,
+    _plus,
     parse,
     render,
 )
@@ -160,6 +162,17 @@ def test_of_is_canonical_component_formula(num, den, sqrt3):
 @given(rationals, rationals)
 def test_scalar_constructor_stores_the_canonical_triple(a, b):
     assert _canonical_parts(QSqrt3(a, b)) == (a, b)
+
+
+@example(QSqrt3.of(1, 3), 5, 7, 3, 1)  # d == x.d: numerators added
+@example(QSqrt3.of(1, 3), 5, 7, -3, 1)  # d == -x.d: cross-multiplied to a negative d
+@example(QSqrt3.of(1, 4), 1, 2, 4, 1)  # added numerators (2, 2, 4) reduce
+@example(QS_ZERO, 2, 2, 4, 1)  # an unreduced raw triple
+@given(scalars, _NUMERATORS, _NUMERATORS, _SIGNED_DENOMINATORS, st.integers(1, 2**40))
+def test_plus_adds_a_raw_triple_canonically(x, p, q, d, g):
+    # g scales the triple, so it is drawn unreduced as well
+    a, b = _canonical_parts(x)
+    assert _canonical_parts(_plus(x, g * p, g * q, g * d)) == (a + Fraction(p, d), b + Fraction(q, d))
 
 
 @given(rationals, rationals)
@@ -290,6 +303,20 @@ def test_left_division(kind, a, b):
 @given(a=nonzero_vectors, b=vectors)
 def test_right_division(kind, a, b):
     assert mul(kind, solve_right(kind, a, b), a) == b
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(x=vectors, y=vectors)
+def test_product_is_the_structure_constant_expansion(kind, x, y):
+    # sum_ij x_i y_j (basis_i o basis_j), term by term with QSqrt3 * and +
+    products = structure_table(kind).products
+    expected = [QS_ZERO] * 8
+    for i in range(8):
+        for j in range(8):
+            xy = x[i] * y[j]
+            for k in range(8):
+                expected[k] = expected[k] + xy * products[i][j][k]
+    assert mul(kind, x, y) == Vec8(expected)
 
 
 @given(x=vectors, y=vectors)
