@@ -9,7 +9,7 @@ space of Veronese vectors where incidence becomes beta(point, line) = 0.
 Run:  python demos/02_plane_and_veronese.py
 """
 
-from okuboplane import AlgebraKind, Plane, Vec8, beta, qform
+from okuboplane import AlgebraKind, Plane, Vec8, beta
 from okuboplane.algebra import E, random_vec, trial_rng
 from okuboplane.plane import (
     INFINITY_POINT,
@@ -56,8 +56,8 @@ p = AffinePoint(random_vec(trial_rng(1, 0)), random_vec(trial_rng(1, 1)))
 v = plane.point_to_veronese(p)
 print(f"point {p}")
 print(f"  lambda = ({v.l1}, {v.l2}, {v.l3})   (n(y), n(x), 1)")
-print(f"  satisfies the Veronese conditions: {plane.is_veronese(v)}")
-print(f"  q(v) = {qform(v)} > 0")
+print(f"  satisfies the Veronese conditions (sharp(v) = 0): {plane.is_veronese(v)}")
+print(f"  beta(v, v) = {beta(v, v)} > 0")
 normalized, _ = plane.normalize_veronese(v)
 print(f"  normalized lambda sum = {normalized.l1 + normalized.l2 + normalized.l3}")
 

@@ -94,9 +94,6 @@ def _render_text(command: str, reports: list[TheoremReport]) -> str:
 def run_command(
     command: str, kind: str, seed: int, trials: int, fmt: str, output: str
 ) -> int:
-    if command == "dump-tables":
-        _write(output, json.dumps(dump_tables(), indent=2) + "\n")
-        return 0
     runner = suite_all if command == "all" else SUITES[command]
     reports = runner(kind, trials, seed)
     if fmt == "json":
@@ -115,7 +112,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             parser.error(f"cannot write --output {args.output}: {exc.strerror}")
     if args.command == "dump-tables":
-        return run_command("dump-tables", "all", 0, 1, "json", args.output)
+        _write(args.output, json.dumps(dump_tables(), indent=2) + "\n")
+        return 0
     return run_command(
         args.command, args.kind, args.seed, args.trials, args.format, args.output
     )

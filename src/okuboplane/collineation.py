@@ -1,11 +1,11 @@
 """Closed-form collineations and the cross-plane isomorphisms.
 
 Translations and shears are elations of a single plane; the triality map is a
-cyclic shift of Veronese coordinates (meaningful on the Okubo and para planes,
-whose Veronese conditions are themselves cyclic); the maps between planes
-rewrite slopes through the trivolution and conjugation so that
-``s * x = tau(conj(s)) . tau2(conj(x))`` turns incidence in one plane into
-incidence in the other.
+cyclic shift of Veronese coordinates (a collineation of the Okubo and para
+planes only: there alone it commutes with the adjoint ``Plane.sharp``); the
+maps between planes rewrite slopes through the trivolution and conjugation so
+that ``s * x = tau(conj(s)) . tau2(conj(x))`` turns incidence in one plane
+into incidence in the other.
 
 The coordinate swap (x, y) -> (y, x) is a collineation of the octonionic
 plane (``OctReflection``) but not of the Okubo plane; its transport through
@@ -134,8 +134,9 @@ class Shear(Collineation):
 class Triality(Collineation):
     """Cyclic shift of Veronese coordinates, read back on the affine chart.
 
-    Defined on the Okubo and para planes, whose Veronese conditions are
-    themselves invariant under the shift; the octonionic conditions are not.
+    Defined on the Okubo and para planes, where ``Plane.sharp(v.cyclic())`` is
+    ``sharp(v).cyclic()`` for every v; the octonionic adjoint breaks this at
+    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``.
     """
 
     __slots__ = ("kind", "inverse")
@@ -293,7 +294,7 @@ def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremRepor
 
 
 def is_isometry(c: Collineation, trials: int, seed: int) -> TheoremReport:
-    """Exact equality of n(dx)^2 + n(dy)^2 before and after the map on random affine pairs."""
+    """Exact equality of ``Plane.distance`` (affine chart, not elliptic) on random affine pairs."""
     row = Check(f"isometry:{c.name}", (c.source,), _keeps_distance)
     return row.report(c.source, c, trials, seed)
 

@@ -4,14 +4,15 @@ and the Veronese model used to verify it.
 Points (``PjPoint``) and lines (``PjLine``) are two families of tagged types
 over the affine chart, mirroring the case analyses that define join and meet;
 the 27-dimensional Veronese vectors are a verification layer (``beta``
-vanishes exactly on incident point/line images) and the coordinate system in
-which the triality collineation is a plain cyclic shift.
+vanishes exactly on incident point/line images, the adjoint ``Plane.sharp`` on
+their multiples) and, on the symmetric kinds, whose ``sharp`` alone commutes
+with the cyclic shift, the coordinates in which triality is that shift.
 
 The kinds differ only in how a product is divided out, through the quotient
 maps ``L`` and ``R`` of :mod:`.algebra` (a o L(a, b) = n(a) b = R(a, b) o a).
 They give the slope through two points, the meet of two lines, the third slot
 of a point image ``R(x, y)``, the first slot of a line image ``L(s, t)`` and
-the outer Veronese conditions; for the octonions these carry the conjugations,
+the outer slots of ``sharp``; for the octonions these carry the conjugations,
 the unique placement under which point images, line data and
 ``beta``-incidence are mutually consistent (checked exactly in the tests).
 """
@@ -32,7 +33,7 @@ from .algebra import (
     solve_left,
     solve_right,
 )
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3
+from .scalar import QS_ONE, QS_ZERO, Frozen, QSqrt3
 
 
 class EqualPoints(ValueError):
@@ -174,14 +175,6 @@ def beta(v: VeroneseVec, w: VeroneseVec) -> QSqrt3:
     )
 
 
-def qform(v: VeroneseVec) -> QSqrt3:
-    """q(v) = beta(v, v)/2 = n(x1)+n(x2)+n(x3) + (l1^2+l2^2+l3^2)/2."""
-    return (
-        norm(v.x1) + norm(v.x2) + norm(v.x3)
-        + (v.l1 * v.l1 + v.l2 * v.l2 + v.l3 * v.l3) * QS_HALF
-    )
-
-
 class Plane(Frozen):
     """One of the three planes; the kind selects product, slope/meet formulas
     and the Veronese variant."""
@@ -307,19 +300,20 @@ class Plane(Frozen):
             return LINE_AT_INFINITY
         raise NotVeronese("vector does not represent a line")
 
-    def is_veronese(self, v: VeroneseVec) -> bool:
-        """The six kind-specific Veronese conditions, checked exactly."""
-        if (
-            norm(v.x1) != v.l2 * v.l3
-            or norm(v.x2) != v.l3 * v.l1
-            or norm(v.x3) != v.l1 * v.l2
-        ):
-            return False
-        return (
-            v.x1.scale(v.l1) == left_quotient(self.kind, v.x3, v.x2)
-            and v.x2.scale(v.l2) == self.mul(v.x3, v.x1)
-            and v.x3.scale(v.l3) == right_quotient(self.kind, v.x1, v.x2)
+    def sharp(self, v: VeroneseVec) -> VeroneseVec:
+        """The quadratic adjoint v^# = (L(x3, x2) - l1 x1, x3 o x1 - l2 x2,
+        R(x1, x2) - l3 x3; l2 l3 - n(x1), l3 l1 - n(x2), l1 l2 - n(x3)).
+        It vanishes exactly on zero and the point and line images up to scale."""
+        return VeroneseVec(
+            left_quotient(self.kind, v.x3, v.x2) - v.x1.scale(v.l1),
+            self.mul(v.x3, v.x1) - v.x2.scale(v.l2),
+            right_quotient(self.kind, v.x1, v.x2) - v.x3.scale(v.l3),
+            v.l2 * v.l3 - norm(v.x1), v.l3 * v.l1 - norm(v.x2), v.l1 * v.l2 - norm(v.x3),
         )
+
+    def is_veronese(self, v: VeroneseVec) -> bool:
+        """The six kind-specific Veronese conditions: ``sharp(v)`` vanishes."""
+        return not self.sharp(v)
 
     def normalize_veronese(self, v: VeroneseVec) -> tuple[VeroneseVec, bool]:
         """Rescale so that l1+l2+l3 = 1; flag False when the sum vanishes.
@@ -338,7 +332,7 @@ class Plane(Frozen):
         return v.scale(total.inv()), True
 
     def distance(self, p: PjPoint, q: PjPoint) -> QSqrt3:
-        """Elliptic-chart distance n(dx)^2 + n(dy)^2 between affine points."""
+        """Affine-chart n(dx)^2 + n(dy)^2, kept by every translation: not the elliptic metric."""
         if not isinstance(p, AffinePoint) or not isinstance(q, AffinePoint):
             raise InfiniteElement("distance is defined for affine points only")
         nx = norm(p.x - q.x)

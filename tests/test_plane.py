@@ -8,7 +8,7 @@ import pytest
 
 import okuboplane
 
-from okuboplane.algebra import AlgebraKind, E, Vec8, mul, trial_rng, random_vec
+from okuboplane.algebra import AlgebraKind, E, Vec8, mul, norm, trial_rng, random_vec
 from okuboplane.plane import (
     INFINITY_POINT,
     LINE_AT_INFINITY,
@@ -31,7 +31,6 @@ from okuboplane.plane import (
     beta,
     line_from_json,
     point_from_json,
-    qform,
     random_affine_point,
     random_incident_pair,
     random_line,
@@ -275,21 +274,65 @@ def test_beta_examples():
     assert beta(inf_point_img, inf_line_img) == QS_ZERO
 
 
-def test_beta_is_twice_qform():
+def test_beta_diagonal_is_twice_the_norms_plus_lambda_squares():
     for i in range(15):
         rng = trial_rng(25, i)
         v = OKUBO_PLANE.point_to_veronese(random_point(rng))
-        assert beta(v, v) == qform(v) + qform(v)
+        norms = norm(v.x1) + norm(v.x2) + norm(v.x3)
+        assert beta(v, v) == norms + norms + v.l1 * v.l1 + v.l2 * v.l2 + v.l3 * v.l3
 
 
-def test_qform_examples():
+def test_beta_diagonal_examples():
     zero = VeroneseVec(ZERO, ZERO, ZERO, QS_ZERO, QS_ZERO, QS_ZERO)
-    assert qform(zero) == QS_ZERO
-    assert qform(OKUBO_PLANE.point_to_veronese(ORIGIN)) == q(Fraction(1, 2))
+    assert beta(zero, zero) == QS_ZERO
+    origin_img = OKUBO_PLANE.point_to_veronese(ORIGIN)
+    assert beta(origin_img, origin_img) == QS_ONE
     for i in range(15):
         rng = trial_rng(26, i)
         v = OKUBO_PLANE.point_to_veronese(random_point(rng))
-        assert qform(v).sign() > 0
+        assert beta(v, v).sign() > 0
+
+
+# -- the quadratic adjoint ----------------------------------------------------------
+
+_LAMBDA_ZERO = (QS_ZERO, QS_ZERO, QS_ZERO)
+_R_I1_I1 = {  # R(i1, i1): i1.conj(i1) = n(i1) e, then i1*i1 in the two symmetric products
+    AlgebraKind.OCTONION: E,
+    AlgebraKind.PARA_OCTONION: -E,
+    AlgebraKind.OKUBO: E.scale(q(2)) - Vec8.basis(4).scale(q(0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_sharp_examples(kind):
+    plane = PLANES[kind]
+    v = VeroneseVec(E, ZERO, ZERO, QS_ZERO, QS_ZERO, QS_ONE)
+    assert plane.sharp(v) == VeroneseVec(ZERO, ZERO, ZERO, -QS_ONE, QS_ZERO, QS_ZERO)
+    s = plane.sharp(VeroneseVec(I1, I1, ZERO, *_LAMBDA_ZERO))
+    assert (s.l1, s.l2, s.l3) == (-QS_ONE, -QS_ONE, QS_ZERO)
+    assert s.x3 == _R_I1_I1[kind]
+
+
+def test_octonion_sharp_is_not_cyclic_at_the_witness():
+    v = VeroneseVec(E, E, I1, *_LAMBDA_ZERO)
+    assert OCTONION_PLANE.sharp(v.cyclic()) != OCTONION_PLANE.sharp(v).cyclic()
+    for plane in (OKUBO_PLANE, PARA_PLANE):
+        assert plane.sharp(v.cyclic()) == plane.sharp(v).cyclic()
+
+
+@pytest.mark.parametrize("kind, failures", [(AlgebraKind.OCTONION, 288),
+                                            (AlgebraKind.PARA_OCTONION, 0),
+                                            (AlgebraKind.OKUBO, 0)])
+def test_sharp_is_cyclic_on_basis_triples_exactly_for_symmetric_kinds(kind, failures):
+    plane = PLANES[kind]
+    basis = [Vec8.basis(i) for i in range(8)]
+    count = 0
+    for a in basis:
+        for b in basis:
+            for c in basis:
+                v = VeroneseVec(a, b, c, *_LAMBDA_ZERO)
+                count += plane.sharp(v.cyclic()) != plane.sharp(v).cyclic()
+    assert count == failures
 
 
 def test_normalize_examples():

@@ -62,6 +62,8 @@ from okuboplane.plane import (  # noqa: E402
     FiniteLine,
     SlopePoint,
     VerticalLine,
+    VeroneseVec,
+    beta,
     line_from_json,
     point_from_json,
 )
@@ -387,6 +389,46 @@ def test_points_and_lines_rebuild_from_their_fields(v, w):
 def test_points_and_lines_round_trip_through_json(p, l):
     assert point_from_json(p.to_json()) == p
     assert line_from_json(l.to_json()) == l
+
+
+# -- the Veronese model: the adjoint and beta on large-height vectors -------------
+
+veronese_vectors = st.builds(VeroneseVec, vectors, vectors, vectors, scalars, scalars, scalars)
+SYMMETRIC_KINDS = [AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION]
+
+
+@pytest.mark.parametrize("kind", SYMMETRIC_KINDS, ids=[k.value for k in SYMMETRIC_KINDS])
+@given(v=veronese_vectors)
+def test_sharp_commutes_with_the_cyclic_shift_on_symmetric_kinds(kind, v):
+    plane = PLANES[kind]
+    assert plane.sharp(v.cyclic()) == plane.sharp(v).cyclic()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(p=points, l=lines, s=scalars)
+def test_sharp_vanishes_on_multiples_of_point_and_line_images(kind, p, l, s):
+    plane = PLANES[kind]
+    assert not plane.sharp(plane.point_to_veronese(p).scale(s))
+    assert not plane.sharp(plane.line_to_veronese(l).scale(s))
+
+
+def _point_on(plane, l, x, at_infinity):
+    """A point of ``l``: its point at infinity, or the point over x."""
+    if isinstance(l, FiniteLine):
+        return SlopePoint(l.s) if at_infinity else AffinePoint(x, plane.mul(l.s, x) + l.t)
+    if isinstance(l, VerticalLine):
+        return INFINITY_POINT if at_infinity else AffinePoint(l.c, x)
+    return INFINITY_POINT if at_infinity else SlopePoint(x)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@given(l=lines, x=vectors, at_infinity=st.booleans(), p=points)
+def test_beta_detects_incidence(kind, l, x, at_infinity, p):
+    plane = PLANES[kind]
+    w = plane.line_to_veronese(l)
+    on = _point_on(plane, l, x, at_infinity)
+    assert plane.incident(on, l) and not beta(plane.point_to_veronese(on), w)
+    assert (not beta(plane.point_to_veronese(p), w)) is plane.incident(p, l)
 
 
 # -- join, meet and the chart maps on large-height points and lines ---------------
