@@ -28,7 +28,7 @@ Each ``LinMap8`` it reads (a linear map, a structure table row, a Gram row)
 keeps each non-zero coefficient as ``(k, a, b)``, meaning
 ``(a + b*sqrt3)/D`` times ``basis_k`` over one integer denominator ``D`` per
 map (built by :func:`_integer_rows`).  A term ``x_i * y_j * c_ijk`` is then
-one integer triple and one normalisation.
+one integer triple and one normalisation, and a coordinate is one ``QSqrt3``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .scalar import QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _canonical, _plus, parse_list, render
+from .scalar import (QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _add, _canonical, _raw,
+                     parse_list, render)
 
 _gcd, _lcm, _new = math.gcd, math.lcm, object.__new__
 
@@ -183,19 +184,17 @@ class LinMap8(Frozen):
         return LinMap8(tuple(map(f, BASIS)))
 
     def apply(self, v: Vec8) -> Vec8:
-        return Vec8(_contract((QS_ONE,), (self,), v))
+        return _contract_vec((QS_ONE,), (self,), v)
 
     def __matmul__(self, other: LinMap8) -> LinMap8:
         return LinMap8(tuple(map(self.apply, other.images)))
 
 
-def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[QSqrt3]:
-    """The coordinates of sum_ij x_i y_j maps[i](basis_j), read from the
-    integer columns: each term is one integer triple over ``d_x d_y D``,
-    added unnormalised to a ``QSqrt3`` accumulator through ``scalar._plus``,
-    so a term costs one normalisation.  ``mul``, ``polar`` and
-    ``LinMap8.apply`` all read the integer rows through it."""
-    out = [QS_ZERO] * 8
+def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[tuple[int, int, int]]:
+    """The coordinates of sum_ij x_i y_j maps[i](basis_j) as canonical triples: each
+    term, one integer triple over ``d_x d_y D`` from the integer columns, is added
+    to its coordinate by ``scalar._add``.  Callers build a ``QSqrt3`` per coordinate read."""
+    out = [(0, 0, 1)] * 8
     ys = [(j, c.p, c.q, c.d) for j, c in enumerate(y.c) if c]
     for xi, f in zip(xs, maps):
         if not xi:
@@ -208,8 +207,13 @@ def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[QS
                 continue
             sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
             for k, a, b in column:
-                out[k] = _plus(out[k], a * sp + 3 * b * sq, a * sq + b * sp, sd)
+                op, oq, od = out[k]
+                out[k] = _add(op, oq, od, a * sp + 3 * b * sq, a * sq + b * sp, sd)
     return out
+
+
+def _contract_vec(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> Vec8:
+    return Vec8([_raw(p, q, d) for p, q, d in _contract(xs, maps, y)])
 
 
 # -- the matrix model over Z[sqrt3, i] ------------------------------------------
@@ -438,19 +442,19 @@ def structure_table(kind: AlgebraKind) -> StructureTable:
     elif kind is AlgebraKind.OCTONION:
         # Kaplansky product x.y = (e*x)*(y*e), bilinear, so basis level suffices
         ok = structure_table(AlgebraKind.OKUBO).rows
-        left = [Vec8(_contract(E.c, ok, b)) for b in BASIS]
-        right = [Vec8(_contract(b.c, ok, E)) for b in BASIS]
-        products = [[Vec8(_contract(x.c, ok, y)) for y in right] for x in left]
+        left = [_contract_vec(E.c, ok, b) for b in BASIS]
+        right = [_contract_vec(b.c, ok, E) for b in BASIS]
+        products = [[_contract_vec(x.c, ok, y) for y in right] for x in left]
     else:
         oct_rows = structure_table(AlgebraKind.OCTONION).rows
         cb = CONJ.images
-        products = [[Vec8(_contract(x.c, oct_rows, y)) for y in cb] for x in cb]
+        products = [[_contract_vec(x.c, oct_rows, y) for y in cb] for x in cb]
     return StructureTable(kind, tuple(tuple(row) for row in products))
 
 
 def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
     """Bilinear product of the selected algebra, exact."""
-    return Vec8(_contract(x.c, structure_table(kind).rows, y))
+    return _contract_vec(x.c, structure_table(kind).rows, y)
 
 
 class GramMatrix(Frozen):
@@ -507,7 +511,7 @@ def norm(x: Vec8) -> QSqrt3:
 
 def polar(x: Vec8, y: Vec8) -> QSqrt3:
     """<x,y> = n(x+y) - n(x) - n(y) = sum_ij g_ij x_i y_j."""
-    return _contract(x.c, gram().rows, y)[0]
+    return _raw(*_contract(x.c, gram().rows, y)[0])
 
 
 IDENTITY = LinMap8(BASIS)

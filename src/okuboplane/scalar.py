@@ -12,8 +12,8 @@ divide coordinates, so arbitrary-precision integers are mandatory and the
 single shared denominator keeps the gcd work per operation minimal (none
 at all when the denominator is 1).  Every value, ``QSqrt3(a, b)`` included,
 is built by one normaliser, ``_canonical``, which writes the slots directly,
-and every sum by one adder, ``_plus``, which adds a raw integer triple to a
-value: ``+``, ``-`` and the product kernel's terms all go through it.
+and every sum by one adder, ``_add``, which sums two integer triples to a
+reduced one: ``+``, ``-`` and every product-kernel term go through it.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ class QSqrt3:
         return Fraction(self.q, self.d)
 
     def __add__(self, other: QSqrt3) -> QSqrt3:
-        return _plus(self, other.p, other.q, other.d)
+        return _raw(*_add(self.p, self.q, self.d, other.p, other.q, other.d))
 
     def __sub__(self, other: QSqrt3) -> QSqrt3:
-        return _plus(self, -other.p, -other.q, other.d)
+        return _raw(*_add(self.p, self.q, self.d, -other.p, -other.q, other.d))
 
     def __neg__(self) -> QSqrt3:
         return _raw(-self.p, -self.q, self.d)
@@ -233,13 +233,23 @@ def _canonical(p: int, q: int, d: int) -> QSqrt3:
     return out
 
 
+def _add(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> tuple[int, int, int]:
+    """The triple ``(p1 + q1*sqrt3)/d1 + (p2 + q2*sqrt3)/d2`` over its gcd, the
+    one sum; canonical when ``d1, d2 > 0``, as only ``_canonical`` fixes a sign."""
+    if d1 == d2:
+        p, q, d = p1 + p2, q1 + q2, d1
+    else:
+        p, q, d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+    if d != 1:
+        g = _gcd(p, q, d)
+        if g > 1:
+            return p // g, q // g, d // g
+    return p, q, d
+
+
 def _plus(x: QSqrt3, p: int, q: int, d: int) -> QSqrt3:
-    """The value ``x + (p + q*sqrt3)/d`` for any integer triple with ``d != 0``,
-    by one normalisation: the one sum, behind ``+``, ``-`` and ``_contract``."""
-    xd = x.d
-    if xd == d:
-        return _canonical(x.p + p, x.q + q, d)
-    return _canonical(x.p * d + p * xd, x.q * d + q * xd, xd * d)
+    """The value ``x + (p + q*sqrt3)/d`` for any integer triple with ``d != 0``."""
+    return _canonical(*_add(x.p, x.q, x.d, p, q, d))
 
 
 def _raw(p: int, q: int, d: int) -> QSqrt3:

@@ -166,12 +166,13 @@ def _subseed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def desargues_falsify(
-    plane: Plane, seed: int, max_trials: int
-) -> Optional[DesarguesConfig]:
+def desargues_falsify(plane: Plane, seed: int, max_trials: int) -> Optional[DesarguesConfig]:
     """Search for a perspective configuration with the center off the axis
     whose conclusion fails; returns it with l1 filled, or None on budget
-    exhaustion (a witness is normally found within a few trials)."""
+    exhaustion (a witness is normally found within a few trials).
+    ``ValueError`` when ``max_trials < 1``: an empty search proves nothing."""
+    if max_trials < 1:
+        raise ValueError(f"desargues_falsify needs at least one trial, not {max_trials}")
     for trial in range(max_trials):
         cfg = _build_config(plane, _subseed(seed, trial), center_on_axis=False)
         try:

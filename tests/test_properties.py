@@ -68,11 +68,14 @@ from okuboplane.plane import (  # noqa: E402
     point_from_json,
 )
 from okuboplane.scalar import (  # noqa: E402
+    QS_HALF,
     QS_ONE,
     QS_ZERO,
     SQRT3,
     QSqrt3,
+    _add,
     _plus,
+    _raw,
     parse,
     render,
 )
@@ -175,6 +178,19 @@ def test_plus_adds_a_raw_triple_canonically(x, p, q, d, g):
     # g scales the triple, so it is drawn unreduced as well
     a, b = _canonical_parts(x)
     assert _canonical_parts(_plus(x, g * p, g * q, g * d)) == (a + Fraction(p, d), b + Fraction(q, d))
+
+
+@example(QSqrt3.of(1, 3), 5, 7, 3, 1)  # equal denominators: numerators added
+@example(QSqrt3.of(1, 4), 1, 2, 4, 1)  # added numerators (2, 2, 4) reduce
+@example(QSqrt3.of(1, 2), -1, 0, 2, 3)  # 1/2 + (-3)/6 cancels to (0, 0, 1)
+@example(QS_ZERO, 2, 2, 4, 1)  # an unreduced triple, against the denominator 1
+@given(scalars, _NUMERATORS, _NUMERATORS, _DENOMINATORS, st.integers(1, 2**40))
+def test_add_sums_two_triples_canonically(x, p, q, d, g):
+    # the kernel's sum, for positive denominators given either way round
+    a, b = x.a + Fraction(p, d), x.b + Fraction(q, d)
+    for triple in (_add(x.p, x.q, x.d, g * p, g * q, g * d),
+                   _add(g * p, g * q, g * d, x.p, x.q, x.d)):
+        assert _canonical_parts(_raw(*triple)) == (a, b)
 
 
 @given(rationals, rationals)
@@ -362,6 +378,25 @@ def test_linear_maps_match_their_formulas(x):
     assert CONJ.apply(x) == E.scale(polar(x, E)) - x
     assert TAU.apply(x) == E.scale(polar(x, E)) - mul(ok, x, E)
     assert TAU2.apply(x) == mul(ok, mul(ok, x, E), E)
+
+
+# the kernel hands its own sums to _raw, which trusts them to be canonical
+@given(x=vectors, y=vectors, f=maps)
+def test_kernel_results_are_canonical(x, y, f):
+    for kind in KINDS:
+        for c in mul(kind, x, y):
+            _canonical_parts(c)
+    for c in f.apply(y):
+        _canonical_parts(c)
+    _canonical_parts(polar(x, y))
+    _canonical_parts(norm(x))
+
+
+def test_kernel_sum_that_cancels_is_the_canonical_zero():
+    # the terms x1 y1 g11 = 2/4 and x2 y2 g22 = -2/4 cancel
+    i1, i2 = Vec8.basis(1), Vec8.basis(2)
+    zero = polar((i1 + i2).scale(QS_HALF), (i1 - i2).scale(QS_HALF))
+    assert zero == QS_ZERO and (zero.p, zero.q, zero.d) == (0, 0, 1)
 
 
 # -- points and lines: the value-type contract ------------------------------------

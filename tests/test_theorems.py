@@ -72,6 +72,13 @@ def test_full_desargues_fails_with_witness(kind):
     assert not plane.incident(witness.l1, witness.axis)
 
 
+@pytest.mark.parametrize("max_trials", [0, -1])
+def test_desargues_falsify_refuses_an_empty_budget(max_trials):
+    # with no trial the search would return None, as if no witness existed
+    with pytest.raises(ValueError, match="at least one trial"):
+        desargues_falsify(OKUBO_PLANE, seed=0, max_trials=max_trials)
+
+
 def test_witness_replays_from_serialized_form():
     plane = OKUBO_PLANE
     witness = desargues_falsify(plane, seed=3, max_trials=50)
