@@ -70,7 +70,12 @@ BASIS_NAMES = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
 
 
 class Vec8(Frozen):
-    """An algebra element as 8 exact coordinates in the basis e, i1..i7."""
+    """An algebra element as 8 exact coordinates in the basis e, i1..i7.
+
+    The constructor takes 8 ``QSqrt3`` values (``ValueError`` for another
+    count, ``TypeError`` for another type); the package's own arithmetic,
+    whose coordinates are ``QSqrt3`` by construction, builds through
+    :func:`_vec` instead."""
 
     __slots__ = ("c",)
 
@@ -78,6 +83,8 @@ class Vec8(Frozen):
         cs = tuple(coords)
         if len(cs) != 8:
             raise ValueError("Vec8 needs exactly 8 coordinates")
+        if not all(isinstance(c, QSqrt3) for c in cs):
+            raise TypeError("Vec8 coordinates must be QSqrt3")
         _set_c(self, cs)
 
     @staticmethod
@@ -95,16 +102,16 @@ class Vec8(Frozen):
         return iter(self.c)
 
     def __add__(self, other: Vec8) -> Vec8:
-        return Vec8(tuple(a + b for a, b in zip(self.c, other.c)))
+        return _vec(tuple(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other: Vec8) -> Vec8:
-        return Vec8(tuple(a - b for a, b in zip(self.c, other.c)))
+        return _vec(tuple(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self) -> Vec8:
-        return Vec8(tuple(-a for a in self.c))
+        return _vec(tuple(-a for a in self.c))
 
     def scale(self, s: QSqrt3) -> Vec8:
-        return Vec8(tuple(a * s for a in self.c))
+        return _vec(tuple(a * s for a in self.c))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vec8):
@@ -133,6 +140,14 @@ class Vec8(Frozen):
 
 
 _set_c = Vec8.c.__set__
+
+
+def _vec(cs: tuple[QSqrt3, ...]) -> Vec8:
+    """The vector of a tuple of 8 coordinates that already are ``QSqrt3``."""
+    v = _new(Vec8)
+    _set_c(v, cs)
+    return v
+
 
 _VEC_ZERO = Vec8((QS_ZERO,) * 8)
 _VEC_BASIS = tuple(
@@ -213,7 +228,7 @@ def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[tu
 
 
 def _contract_vec(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> Vec8:
-    return Vec8([_raw(p, q, d) for p, q, d in _contract(xs, maps, y)])
+    return _vec(tuple([_raw(p, q, d) for p, q, d in _contract(xs, maps, y)]))
 
 
 # -- the matrix model over Z[sqrt3, i] ------------------------------------------
@@ -392,7 +407,7 @@ def matrix_to_vec(m: HermMat3) -> Vec8:
     (a11, b11, _, _), (a22, b22, _, _) = e[0], e[4]
     (a12, b12, c12, d12), (a13, b13, c13, d13), (a23, b23, c23, d23) = e[1], e[2], e[5]
     den3 = 3 * den
-    v = Vec8((
+    v = _vec((
         _canonical(a11 + a22, b11 + b22, den),
         _canonical(3 * b12, a12, den3),
         _canonical(3 * b13, a13, den3),
@@ -470,7 +485,7 @@ class GramMatrix(Frozen):
         Frozen.__init__(self, g)
         zeros = (QS_ZERO,) * 7
         object.__setattr__(self, "rows", tuple(
-            LinMap8(tuple(Vec8((gij, *zeros)) for gij in row)) for row in g
+            LinMap8(tuple(_vec((gij, *zeros)) for gij in row)) for row in g
         ))
 
     def leading_minors(self) -> list[QSqrt3]:
@@ -657,15 +672,24 @@ def product_conversion_crosscheck(x: Vec8, y: Vec8) -> bool:
     )
 
 
+# The values random_scalar draws: _DRAWS[num + 3][den - 1] = (num/den, num/den*sqrt3).
+_DRAWS = tuple(
+    tuple((QSqrt3.of(num, den), QSqrt3.of(num, den, sqrt3=True)) for den in (1, 2))
+    for num in range(-3, 4)
+)
+
+
 def random_scalar(rng: random.Random) -> QSqrt3:
     """Bounded generator: numerator in [-3, 3], denominator in {1, 2},
-    optionally carried by sqrt3; keeps exact growth small in deep chains."""
-    num, den = rng.randint(-3, 3), rng.choice((1, 2))
-    return QSqrt3.of(num, den, sqrt3=rng.random() < 0.25)
+    optionally carried by sqrt3; keeps exact growth small in deep chains.
+    The two choices make the same rng calls as ``randint(-3, 3)`` and
+    ``choice((1, 2))``, so the stream is that of drawing ``num`` and ``den``."""
+    rational, surd = rng.choice(rng.choice(_DRAWS))
+    return surd if rng.random() < 0.25 else rational
 
 
 def random_vec(rng: random.Random) -> Vec8:
-    return Vec8(tuple(random_scalar(rng) for _ in range(8)))
+    return _vec(tuple([random_scalar(rng) for _ in range(8)]))
 
 
 def random_nonzero_vec(rng: random.Random) -> Vec8:

@@ -5,6 +5,10 @@ passed exactly when their witness was found), 1 on any suite failure, 2 on
 bad arguments, an ``--output`` that cannot be opened for writing included
 (checked before any suite runs).  Reports with identical (command, kind,
 seed, trials) are byte-identical apart from the elapsed_ms fields.
+
+The argument parser is built on first use, not at import, and every later
+call reuses it while ``$OKUBOPLANE_SEED``, the one default it reads from the
+environment, keeps its value.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .report import TheoremReport, reports_to_json
@@ -24,6 +29,13 @@ SEED_ENV_VAR = "OKUBOPLANE_SEED"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current ``$OKUBOPLANE_SEED``, shared by every call
+    made while the variable keeps its value: read it, do not modify it."""
+    return _parser(os.environ.get(SEED_ENV_VAR, "0"))
+
+
+@lru_cache(maxsize=1)
+def _parser(seed_default: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okuboplane",
         description=(
@@ -45,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seed",
                 type=int,
                 # a string default goes through type=int: a bad value exits 2
-                default=os.environ.get(SEED_ENV_VAR, "0"),
+                default=seed_default,
                 help=f"base seed for trial generators (default: ${SEED_ENV_VAR} or 0)",
             )
             p.add_argument(

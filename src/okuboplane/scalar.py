@@ -247,11 +247,6 @@ def _add(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> tuple[int, int
     return p, q, d
 
 
-def _plus(x: QSqrt3, p: int, q: int, d: int) -> QSqrt3:
-    """The value ``x + (p + q*sqrt3)/d`` for any integer triple with ``d != 0``."""
-    return _canonical(*_add(x.p, x.q, x.d, p, q, d))
-
-
 def _raw(p: int, q: int, d: int) -> QSqrt3:
     """The value ``(p + q*sqrt3)/d`` of a triple that already is canonical."""
     out = _new(QSqrt3)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from okuboplane.algebra import (
     LinMap8,
     RepresentationViolation,
     Vec8,
+    _DRAWS,
     basis_matrices,
     check_identity,
     conjugate_oct,
@@ -557,6 +559,36 @@ def test_random_scalar_matches_fraction_draw():
         expected = QSqrt3(0, f) if ref.random() < 0.25 else QSqrt3(f)
         assert random_scalar(rng) == expected
     assert rng.random() == ref.random()
+
+
+def test_draw_table_holds_the_canonical_values():
+    assert len(_DRAWS) == 7 and all(len(row) == 2 for row in _DRAWS)
+    for num in range(-3, 4):
+        for den in (1, 2):
+            for sqrt3, value in enumerate(_DRAWS[num + 3][den - 1]):
+                assert value == QSqrt3.of(num, den, sqrt3=bool(sqrt3))
+                assert type(value) is QSqrt3 and value.d > 0
+                assert math.gcd(value.p, value.q, value.d) == 1
+
+
+def _three_call_scalar(rng):
+    num, den = rng.randint(-3, 3), rng.choice((1, 2))
+    return QSqrt3.of(num, den, sqrt3=rng.random() < 0.25)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1000])
+def test_random_vec_keeps_the_three_call_stream(seed):
+    rng, ref = trial_rng(seed, 3), trial_rng(seed, 3)
+    for _ in range(100):
+        assert random_vec(rng) == Vec8([_three_call_scalar(ref) for _ in range(8)])
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("coords", [[1] * 8, [QS_ONE] * 7 + [Fraction(1, 2)], [QS_ZERO] * 7 + [None]],
+                         ids=["ints", "fraction", "none"])
+def test_vec_constructor_rejects_coordinates_that_are_not_scalars(coords):
+    with pytest.raises(TypeError, match="QSqrt3"):
+        Vec8(coords)
 
 
 @pytest.mark.parametrize("action", ["set", "delete"])

@@ -1,5 +1,10 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,8 @@ from okuboplane.algebra import Vec8
 from okuboplane.cli import build_parser, main
 from okuboplane.plane import PjPoint, line_from_json, point_from_json
 from okuboplane.theorems import DesarguesConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -118,6 +125,69 @@ def test_bad_seed_env_var_exits_two(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["g2", "--trials", "2"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def counted_parsers(monkeypatch):
+    """Counts every argparse parser built from now on, subparsers included,
+    starting from an empty parser cache."""
+    from okuboplane import cli
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once_per_process(counted_parsers):
+    args = ["g2", "--trials", "1", "--kind", "okubo"]
+    assert main(args) == 0
+    first = len(counted_parsers)
+    assert first > 1 and counted_parsers[0] == "okuboplane"
+    assert main(args) == 0
+    assert len(counted_parsers) == first
+
+
+def test_seed_env_var_change_between_calls_takes_effect(counted_parsers, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr("okuboplane.cli.run_command",
+                        lambda command, kind, seed, *rest: runs.append(seed) or 0)
+    monkeypatch.setenv("OKUBOPLANE_SEED", "5")
+    assert main(["g2"]) == 0
+    monkeypatch.setenv("OKUBOPLANE_SEED", "6")
+    assert main(["g2"]) == 0
+    assert runs == [5, 6]
+    monkeypatch.setenv("OKUBOPLANE_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["g2"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.delenv("OKUBOPLANE_SEED")
+    assert main(["g2"]) == 0 and runs == [5, 6, 0]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import okuboplane.cli\n"
+        "assert not built, built\n"
+        "okuboplane.cli.build_parser()\n"
+        "assert built\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_text_format_summary_line(capsys):

@@ -74,7 +74,6 @@ from okuboplane.scalar import (  # noqa: E402
     SQRT3,
     QSqrt3,
     _add,
-    _plus,
     _raw,
     parse,
     render,
@@ -167,17 +166,6 @@ def test_of_is_canonical_component_formula(num, den, sqrt3):
 @given(rationals, rationals)
 def test_scalar_constructor_stores_the_canonical_triple(a, b):
     assert _canonical_parts(QSqrt3(a, b)) == (a, b)
-
-
-@example(QSqrt3.of(1, 3), 5, 7, 3, 1)  # d == x.d: numerators added
-@example(QSqrt3.of(1, 3), 5, 7, -3, 1)  # d == -x.d: cross-multiplied to a negative d
-@example(QSqrt3.of(1, 4), 1, 2, 4, 1)  # added numerators (2, 2, 4) reduce
-@example(QS_ZERO, 2, 2, 4, 1)  # an unreduced raw triple
-@given(scalars, _NUMERATORS, _NUMERATORS, _SIGNED_DENOMINATORS, st.integers(1, 2**40))
-def test_plus_adds_a_raw_triple_canonically(x, p, q, d, g):
-    # g scales the triple, so it is drawn unreduced as well
-    a, b = _canonical_parts(x)
-    assert _canonical_parts(_plus(x, g * p, g * q, g * d)) == (a + Fraction(p, d), b + Fraction(q, d))
 
 
 @example(QSqrt3.of(1, 3), 5, 7, 3, 1)  # equal denominators: numerators added
