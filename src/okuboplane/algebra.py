@@ -38,7 +38,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .scalar import (QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _add, _canonical, _raw,
                      parse_list, render)
@@ -75,7 +75,7 @@ class Vec8(Frozen):
     The constructor takes 8 ``QSqrt3`` values (``ValueError`` for another
     count, ``TypeError`` for another type); the package's own arithmetic,
     whose coordinates are ``QSqrt3`` by construction, builds through
-    :func:`_vec` instead."""
+    :func:`_vec` instead.  ``+`` and ``-`` take another ``Vec8`` only."""
 
     __slots__ = ("c",)
 
@@ -102,9 +102,13 @@ class Vec8(Frozen):
         return iter(self.c)
 
     def __add__(self, other: Vec8) -> Vec8:
+        if other.__class__ is not Vec8:
+            return NotImplemented
         return _vec(tuple(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other: Vec8) -> Vec8:
+        if other.__class__ is not Vec8:
+            return NotImplemented
         return _vec(tuple(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self) -> Vec8:
@@ -473,15 +477,18 @@ def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
 
 
 class GramMatrix(Frozen):
-    """g[i][j] = <basis_i, basis_j>, derived from matrix traces.  The
-    constructor derives ``rows[i]``, the map basis_j -> g_ij e, so that
-    ``polar`` is the product kernel's contraction read off coordinate ``e``
-    (the way a structure table derives its rows from its products)."""
+    """g[i][j] = <basis_i, basis_j>, derived from matrix traces, each a
+    ``QSqrt3`` (``TypeError`` otherwise).  The constructor derives ``rows[i]``,
+    the map basis_j -> g_ij e, so that ``polar`` is the product kernel's
+    contraction read off coordinate ``e`` (the way a structure table derives
+    its rows from its products)."""
 
     __slots__ = ("g", "rows")
     _fields = ("g",)  # the rows are derived from g
 
     def __init__(self, g: Sequence[Sequence[QSqrt3]]) -> None:
+        if not all(isinstance(gij, QSqrt3) for row in g for gij in row):
+            raise TypeError("GramMatrix entries must be QSqrt3")
         Frozen.__init__(self, g)
         zeros = (QS_ZERO,) * 7
         object.__setattr__(self, "rows", tuple(
@@ -692,11 +699,27 @@ def random_vec(rng: random.Random) -> Vec8:
     return _vec(tuple([random_scalar(rng) for _ in range(8)]))
 
 
+class DegenerateAfterRetries(RuntimeError):
+    """Random draws stayed degenerate past the retry budget."""
+
+
+_RETRIES = 64
+_T = TypeVar("_T")
+
+
+def draw(rng: random.Random, make: Callable[[random.Random], _T],
+         reject: Callable[[_T], bool]) -> _T:
+    """The first of at most ``_RETRIES`` values ``make(rng)`` that ``reject``
+    lets through; ``DegenerateAfterRetries`` when it rejects every one."""
+    for _ in range(_RETRIES):
+        value = make(rng)
+        if not reject(value):
+            return value
+    raise DegenerateAfterRetries(f"{_RETRIES} draws stayed degenerate; widen the generator range")
+
+
 def random_nonzero_vec(rng: random.Random) -> Vec8:
-    while True:
-        v = random_vec(rng)
-        if v:
-            return v
+    return draw(rng, random_vec, lambda v: not v)
 
 
 def trial_rng(seed: int, index: int) -> random.Random:

@@ -24,6 +24,7 @@ import random
 from .algebra import (
     AlgebraKind,
     Vec8,
+    draw,
     left_quotient,
     mul,
     norm,
@@ -390,8 +391,4 @@ def random_incident_pair(plane: Plane, rng: random.Random) -> tuple[PjPoint, PjL
 
 
 def random_non_incident_pair(plane: Plane, rng: random.Random) -> tuple[PjPoint, PjLine]:
-    while True:
-        p = random_point(rng)
-        l = random_line(rng)
-        if not plane.incident(p, l):
-            return p, l
+    return draw(rng, lambda r: (random_point(r), random_line(r)), lambda pl: plane.incident(*pl))

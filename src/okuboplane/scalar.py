@@ -100,7 +100,8 @@ class QSqrt3:
 
     Construct from ints or Fractions only (``TypeError`` otherwise, ``bool``
     and ``float`` included); instances are immutable and canonical, so ``==``
-    is exact component comparison.
+    is exact component comparison.  ``+``, ``-``, ``*`` and ``/`` take another
+    ``QSqrt3`` only, so a plain number as operand raises ``TypeError``.
     """
 
     __slots__ = ("p", "q", "d")
@@ -145,15 +146,21 @@ class QSqrt3:
         return Fraction(self.q, self.d)
 
     def __add__(self, other: QSqrt3) -> QSqrt3:
+        if other.__class__ is not QSqrt3:
+            return NotImplemented
         return _raw(*_add(self.p, self.q, self.d, other.p, other.q, other.d))
 
     def __sub__(self, other: QSqrt3) -> QSqrt3:
+        if other.__class__ is not QSqrt3:
+            return NotImplemented
         return _raw(*_add(self.p, self.q, self.d, -other.p, -other.q, other.d))
 
     def __neg__(self) -> QSqrt3:
         return _raw(-self.p, -self.q, self.d)
 
     def __mul__(self, other: QSqrt3) -> QSqrt3:
+        if other.__class__ is not QSqrt3:
+            return NotImplemented
         # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 3 q1 q2) + (p1 q2 + q1 p2) s
         q1, q2 = self.q, other.q
         if q1 == 0 and q2 == 0:
@@ -169,6 +176,8 @@ class QSqrt3:
         return _canonical(d * p, -d * q, p * p - 3 * q * q)
 
     def __truediv__(self, other: QSqrt3) -> QSqrt3:
+        if other.__class__ is not QSqrt3:
+            return NotImplemented
         return self * other.inv()
 
     def __eq__(self, other: object) -> bool:

@@ -14,14 +14,13 @@ import random
 from itertools import product
 from typing import Optional
 
-from .algebra import BASIS, Vec8, random_vec, trial_rng
+from .algebra import _RETRIES, BASIS, DegenerateAfterRetries, Vec8, draw, random_vec, trial_rng
 from .plane import (
     EqualLines,
     EqualPoints,
     FiniteLine,
     OCTONION_PLANE,
     OKUBO_PLANE,
-    PjLine,
     PjPoint,
     Plane,
     line_from_json,
@@ -34,13 +33,6 @@ from .scalar import Frozen
 
 class DegenerateConfig(ValueError):
     """A configuration collapsed (coincident points or lines) during verify."""
-
-
-class DegenerateAfterRetries(RuntimeError):
-    """Random draws stayed degenerate past the retry budget."""
-
-
-_RETRIES = 64
 
 
 class DesarguesConfig(Frozen):
@@ -69,14 +61,6 @@ class DesarguesConfig(Frozen):
         })
 
 
-def _draw(rng: random.Random, reject, make) -> PjPoint:
-    for _ in range(_RETRIES):
-        p = make(rng)
-        if not reject(p):
-            return p
-    raise DegenerateAfterRetries("point draws stayed degenerate; widen the generator range")
-
-
 def _build_config(plane: Plane, seed: int, center_on_axis: bool) -> DesarguesConfig:
     for attempt in range(_RETRIES):
         rng = trial_rng(seed, attempt)
@@ -96,48 +80,33 @@ def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> Desarg
     if center_on_axis:
         center: PjPoint = random_affine_point_on(plane, axis, rng)
     else:
-        center = _draw(rng, lambda p: plane.incident(p, axis), random_affine_point)
+        center = draw(rng, random_affine_point, lambda p: plane.incident(p, axis))
 
-    a = _draw(rng, lambda p: plane.incident(p, axis) or p == center, random_affine_point)
+    a = draw(rng, random_affine_point, lambda p: plane.incident(p, axis) or p == center)
     line_ap = plane.join(a, center)
-    a1 = _draw(
+    a1 = draw(
         rng,
-        lambda p: p == a or p == center or plane.incident(p, axis),
         lambda r: random_affine_point_on(plane, line_ap, r),
+        lambda p: p == a or p == center or plane.incident(p, axis),
     )
 
-    b = _draw(
-        rng, lambda p: plane.incident(p, axis) or plane.incident(p, line_ap), random_affine_point
-    )
-    line_ab = plane.join(a, b)
-    l3 = plane.meet(line_ab, axis)
-    line_bp = plane.join(b, center)
-    line_l3a1 = plane.join(l3, a1)
-    if line_l3a1 == line_bp:
-        raise _Retry
-    b1 = plane.meet(line_l3a1, line_bp)
-    if b1 == b or b1 == center or b1 == a1:
-        raise _Retry
+    def vertex(off: tuple, *taken: PjPoint) -> tuple:
+        """A vertex v off the lines ``off``, the point l where its side with a
+        meets the axis, and v' where (l a') meets (v center), with both lines."""
+        v = draw(rng, random_affine_point, lambda p: any(plane.incident(p, m) for m in off))
+        side = plane.join(a, v)
+        l = plane.meet(side, axis)
+        ray = plane.join(v, center)
+        line_la1 = plane.join(l, a1)
+        if line_la1 == ray:
+            raise _Retry
+        v1 = plane.meet(line_la1, ray)
+        if v1 in (v, center, *taken):
+            raise _Retry
+        return v, v1, l, side, ray
 
-    c = _draw(
-        rng,
-        lambda p: (
-            plane.incident(p, axis)
-            or plane.incident(p, line_ap)
-            or plane.incident(p, line_bp)
-            or plane.incident(p, line_ab)
-        ),
-        random_affine_point,
-    )
-    line_ac = plane.join(a, c)
-    l2 = plane.meet(line_ac, axis)
-    line_cp = plane.join(c, center)
-    line_l2a1 = plane.join(l2, a1)
-    if line_l2a1 == line_cp:
-        raise _Retry
-    c1 = plane.meet(line_l2a1, line_cp)
-    if c1 == c or c1 == center or c1 == b1 or c1 == a1:
-        raise _Retry
+    b, b1, l3, line_ab, line_bp = vertex((axis, line_ap), a1)
+    c, c1, l2, _, _ = vertex((axis, line_ap, line_bp, line_ab), b1, a1)
 
     if plane.join(c, b) == plane.join(c1, b1):
         raise _Retry

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -16,8 +17,10 @@ from okuboplane.algebra import (
     TAU2,
     AlgebraKind,
     BasisDecompositionFailure,
+    DegenerateAfterRetries,
     DivisionByZeroElement,
     E,
+    GramMatrix,
     HermMat3,
     LinMap8,
     RepresentationViolation,
@@ -26,6 +29,7 @@ from okuboplane.algebra import (
     basis_matrices,
     check_identity,
     conjugate_oct,
+    draw,
     entry_conj,
     gram,
     left_quotient,
@@ -35,6 +39,7 @@ from okuboplane.algebra import (
     norm,
     okubo_matrix_mul,
     polar,
+    random_nonzero_vec,
     random_scalar,
     random_vec,
     solve_left,
@@ -48,6 +53,7 @@ from okuboplane.algebra import (
     trivolution_table_report,
     vec_to_matrix,
 )
+from okuboplane import algebra
 from okuboplane.scalar import QS_ONE, QS_ZERO, QSqrt3
 
 OK = AlgebraKind.OKUBO
@@ -582,6 +588,43 @@ def test_random_vec_keeps_the_three_call_stream(seed):
     for _ in range(100):
         assert random_vec(rng) == Vec8([_three_call_scalar(ref) for _ in range(8)])
     assert rng.random() == ref.random()
+
+
+def test_draw_returns_the_first_accepted_draw():
+    values = iter(range(10))
+    assert draw(None, lambda rng: next(values), lambda v: v < 3) == 3
+    assert next(values) == 4
+
+
+def test_draw_gives_up_after_the_retry_budget():
+    calls = []
+    with pytest.raises(DegenerateAfterRetries, match="64 draws"):
+        draw(trial_rng(0, 0), lambda rng: calls.append(rng.random()), lambda v: True)
+    assert len(calls) == 64
+
+
+def test_random_nonzero_vec_fails_loudly_on_a_zero_generator(monkeypatch):
+    monkeypatch.setattr(algebra, "random_vec", lambda rng: ZERO)
+    with pytest.raises(DegenerateAfterRetries):
+        random_nonzero_vec(trial_rng(0, 0))
+
+
+def test_the_package_has_no_while_loop():
+    # every loop is bounded: a draw-until goes through algebra.draw
+    package = Path(okuboplane.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.While)], module.name
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda: E + 1, lambda: E - 1, lambda: E.scale(2), lambda: GramMatrix(((1,) * 8,) * 8)],
+    ids=["add", "sub", "scale", "gram-ints"],
+)
+def test_a_plain_number_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op()
 
 
 @pytest.mark.parametrize("coords", [[1] * 8, [QS_ONE] * 7 + [Fraction(1, 2)], [QS_ZERO] * 7 + [None]],

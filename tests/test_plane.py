@@ -8,7 +8,9 @@ import pytest
 
 import okuboplane
 
-from okuboplane.algebra import AlgebraKind, E, Vec8, mul, norm, trial_rng, random_vec
+from okuboplane.algebra import (
+    AlgebraKind, DegenerateAfterRetries, E, Vec8, mul, norm, trial_rng, random_vec,
+)
 from okuboplane.plane import (
     INFINITY_POINT,
     LINE_AT_INFINITY,
@@ -264,6 +266,12 @@ def test_beta_vanishes_exactly_on_incident_pairs(kind):
         assert not beta(plane.point_to_veronese(p), plane.line_to_veronese(l))
         p2, l2 = random_non_incident_pair(plane, rng)
         assert beta(plane.point_to_veronese(p2), plane.line_to_veronese(l2))
+
+
+def test_random_non_incident_pair_fails_loudly_when_every_pair_is_incident(monkeypatch):
+    monkeypatch.setattr(Plane, "incident", lambda self, p, l: True)
+    with pytest.raises(DegenerateAfterRetries):
+        random_non_incident_pair(OKUBO_PLANE, trial_rng(0, 0))
 
 
 def test_beta_examples():

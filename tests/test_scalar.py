@@ -205,3 +205,13 @@ def test_of_rejects_bad_arguments(args, error):
     with pytest.raises(error):
         QSqrt3.of(*args, sqrt3=True)
 
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda x: x * 2, lambda x: x + 2, lambda x: x - 2, lambda x: x / 2],
+    ids=["mul", "add", "sub", "truediv"],
+)
+def test_a_plain_number_operand_raises_type_error(op):
+    # the operators return NotImplemented for a foreign operand, so Python raises TypeError
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(QSqrt3(1))

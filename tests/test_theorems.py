@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from okuboplane.suites import (
     MOUFANG_HOLDS,
     PTR_ROWS,
 )
+from okuboplane import algebra, theorems
 from okuboplane.theorems import (
     DegenerateConfig,
     DesarguesConfig,
@@ -70,6 +73,37 @@ def test_full_desargues_fails_with_witness(kind):
     assert not config_incidences(plane, witness)
     assert witness.l1 is not None
     assert not plane.incident(witness.l1, witness.axis)
+
+
+def _digest(configs):
+    blob = json.dumps([c.to_json() for c in configs], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# An expect-pass report carries no configuration, so these digests are the only
+# record of what the little-desargues and desargues-falsify rows construct.
+BUILDS = {
+    AlgebraKind.OCTONION: "a10f6e4a04a26757e8a9697896a9eb6cc12d90c59845a9df656c94c53621cf00",
+    AlgebraKind.PARA_OCTONION: "29b59881882aec157f26b5e6702ff5e5ae8c230e79a9e534edd48bbbd327246d",
+    AlgebraKind.OKUBO: "16efb50c8acc0aa581935e03ae1b722c517a7a5085dcd2fe8c8e12e6e11f7e68",
+}
+WITNESSES = {
+    AlgebraKind.OCTONION: "c6a341b8a731a2dc9705222bdc21c273f44efecfc646cdaccf9b14f8d7b8f7a1",
+    AlgebraKind.PARA_OCTONION: "ef9efeabb77c9a82707cea355e3b8436f8fbc3c5df3e1fb67691157b50cf1526",
+    AlgebraKind.OKUBO: "6602cadf61743aa579432165bd63f39c9c8bf7155f916546322ff79fb7d5e474",
+}
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_builder_configurations_are_pinned(kind):
+    plane = PLANES[kind]
+    assert _digest(little_desargues_build(plane, s) for s in range(20)) == BUILDS[kind]
+    assert _digest(desargues_falsify(plane, s, 10) for s in range(5)) == WITNESSES[kind]
+
+
+def test_retry_budget_and_exception_are_the_samplers():
+    assert theorems.DegenerateAfterRetries is algebra.DegenerateAfterRetries
+    assert theorems._RETRIES is algebra._RETRIES == 64
 
 
 @pytest.mark.parametrize("max_trials", [0, -1])
