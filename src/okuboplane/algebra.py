@@ -426,9 +426,24 @@ def matrix_to_vec(m: HermMat3) -> Vec8:
     return v
 
 
+def algebra_kind(kind: object) -> AlgebraKind:
+    """``kind`` itself, if it is an ``AlgebraKind``; ``TypeError`` otherwise."""
+    if not isinstance(kind, AlgebraKind):
+        raise TypeError(f"an algebra kind is an AlgebraKind, not {kind!r}")
+    return kind
+
+
+def _square(rows: Sequence[Sequence[object]], what: str) -> Sequence[Sequence[object]]:
+    """``rows`` itself, if it is 8 rows of 8 entries; ``ValueError`` otherwise."""
+    if len(rows) != 8 or any(len(row) != 8 for row in rows):
+        raise ValueError(f"{what} needs 8 rows of 8 entries")
+    return rows
+
+
 class StructureTable(Frozen):
     """Structure constants of one product, derived from the matrix model:
-    ``products[i][j] = basis_i o basis_j``.  The constructor derives
+    ``products[i][j] = basis_i o basis_j``, 8 rows of 8 (``ValueError``
+    otherwise) for an ``AlgebraKind`` (``TypeError``).  The constructor derives
     ``rows[i] = LinMap8(products[i])``, left multiplication by ``basis_i``,
     whose integer columns :func:`_contract` reads; every table here has
     ``den <= 2`` in each row."""
@@ -437,7 +452,7 @@ class StructureTable(Frozen):
     _fields = ("kind", "products")  # the rows are derived from the products
 
     def __init__(self, kind: AlgebraKind, products: Sequence[Sequence[Vec8]]) -> None:
-        Frozen.__init__(self, kind, products)
+        Frozen.__init__(self, algebra_kind(kind), _square(products, "a structure table"))
         object.__setattr__(self, "rows", tuple(map(LinMap8, products)))
 
     def to_json(self) -> dict:
@@ -450,9 +465,7 @@ class StructureTable(Frozen):
 
 @lru_cache(maxsize=None)
 def structure_table(kind: AlgebraKind) -> StructureTable:
-    if not isinstance(kind, AlgebraKind):
-        raise TypeError(f"an algebra kind is an AlgebraKind, not {kind!r}")
-    if kind is AlgebraKind.OKUBO:
+    if algebra_kind(kind) is AlgebraKind.OKUBO:
         mats = basis_matrices()
         products = [
             [matrix_to_vec(okubo_matrix_mul(mats[i], mats[j])) for j in range(8)]
@@ -477,17 +490,18 @@ def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
 
 
 class GramMatrix(Frozen):
-    """g[i][j] = <basis_i, basis_j>, derived from matrix traces, each a
-    ``QSqrt3`` (``TypeError`` otherwise).  The constructor derives ``rows[i]``,
-    the map basis_j -> g_ij e, so that ``polar`` is the product kernel's
-    contraction read off coordinate ``e`` (the way a structure table derives
-    its rows from its products)."""
+    """g[i][j] = <basis_i, basis_j>, derived from matrix traces: 8 rows of 8
+    ``QSqrt3`` entries (``ValueError`` for another shape, ``TypeError`` for
+    another type).  The constructor derives ``rows[i]``, the map
+    basis_j -> g_ij e, so that ``polar`` is the product kernel's contraction
+    read off coordinate ``e`` (the way a structure table derives its rows
+    from its products)."""
 
     __slots__ = ("g", "rows")
     _fields = ("g",)  # the rows are derived from g
 
     def __init__(self, g: Sequence[Sequence[QSqrt3]]) -> None:
-        if not all(isinstance(gij, QSqrt3) for row in g for gij in row):
+        if not all(isinstance(gij, QSqrt3) for row in _square(g, "a Gram matrix") for gij in row):
             raise TypeError("GramMatrix entries must be QSqrt3")
         Frozen.__init__(self, g)
         zeros = (QS_ZERO,) * 7
@@ -560,25 +574,11 @@ def conventional_trivolution_images() -> tuple[Vec8, ...]:
     degrees.  Kept only for comparison reports: the matrix-derived map
     differs (it fixes e, i3, i4, i7), see :func:`trivolution_table_report`.
     """
-    h = QSqrt3(Fraction(-1, 2))
-    hs = QSqrt3(0, Fraction(1, 2))
-
-    def v(**kw: QSqrt3) -> Vec8:
-        coords = [QS_ZERO] * 8
-        for name, val in kw.items():
-            coords[BASIS_NAMES.index(name)] = val
-        return Vec8(tuple(coords))
-
-    return (
-        Vec8.basis(0),
-        Vec8.basis(1),
-        v(i2=h, i5=hs),      # -1/2 (i2 - sqrt3 i5)
-        Vec8.basis(3),
-        v(i4=h, i6=hs),      # -1/2 (i4 - sqrt3 i6)
-        v(i5=h, i2=-hs),     # -1/2 (i5 + sqrt3 i2)
-        v(i6=h, i4=-hs),     # -1/2 (i6 + sqrt3 i4)
-        Vec8.basis(7),
-    )
+    cos, sin = -QS_HALF, QSqrt3(0, Fraction(1, 2))
+    images = [list(v) for v in BASIS]
+    for a, b in ((2, 5), (4, 6)):
+        images[a][a], images[a][b], images[b][b], images[b][a] = cos, sin, cos, -sin
+    return tuple(map(Vec8, images))
 
 
 def trivolution_table_report() -> dict:

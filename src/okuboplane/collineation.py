@@ -22,6 +22,7 @@ from .algebra import (
     E,
     LinMap8,
     Vec8,
+    algebra_kind,
     mul,
     random_vec,
     solve_left,
@@ -136,13 +137,14 @@ class Triality(Collineation):
 
     Defined on the Okubo and para planes, where ``Plane.sharp(v.cyclic())`` is
     ``sharp(v).cyclic()`` for every v; the octonionic adjoint breaks this at
-    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``.
+    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``, and a kind
+    that is not an ``AlgebraKind`` raises ``TypeError``.
     """
 
     __slots__ = ("kind", "inverse")
 
     def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
-        if kind is AlgebraKind.OCTONION:
+        if algebra_kind(kind) is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
         super().__init__(kind, inverse)
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .algebra import AlgebraKind, trial_rng
 from .plane import PostconditionViolation
 
 # Produces a report's outcomes (None for a trial with nothing to record); it is
-# called inside the report's stopwatch, so a generator function times its work.
+# called inside the row's stopwatch, so a generator function times its work.
 Outcomes = Callable[[], Iterable[Optional[dict]]]
 
 
@@ -73,11 +72,13 @@ class TheoremReport:
         )
 
 
-@contextmanager
-def stopwatch() -> Iterator[Callable[[], float]]:
-    """with stopwatch() as elapsed: ...; elapsed() -> milliseconds."""
+def _stopwatch(make: Callable[[], TheoremReport]) -> TheoremReport:
+    """The report ``make()`` returns, with ``elapsed_ms`` set to the time it
+    took: every row's report is timed here, and only here."""
     start = time.perf_counter()
-    yield lambda: (time.perf_counter() - start) * 1000.0
+    report = make()
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report
 
 
 def _draw(outcomes: Outcomes, first: bool) -> tuple[list[dict], list[dict]]:
@@ -95,29 +96,22 @@ def _draw(outcomes: Outcomes, first: bool) -> tuple[list[dict], list[dict]]:
     return found, []
 
 
-def pass_report(
-    name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes
+def outcome_report(
+    name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes,
+    missing: Optional[str],
 ) -> TheoremReport:
-    """expect-pass: every outcome that is not None is a counterexample."""
-    with stopwatch() as elapsed:
-        failures, broken = _draw(outcomes, first=False)
-    return TheoremReport(
-        name=name, kind=kind.value, seed=seed, trials=trials,
-        mode="expect-pass", failures=failures + broken, elapsed_ms=elapsed(),
-    )
-
-
-def witness_report(
-    name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes, missing: str
-) -> TheoremReport:
-    """expect-witness: the first outcome that is not None is the witness; the
-    scan stops there.  Finding none is a failure that says what is ``missing``."""
-    with stopwatch() as elapsed:
-        witnesses, broken = _draw(outcomes, first=True)
-    missed = [] if witnesses or broken else [{"reason": f"no witness found: {missing}"}]
+    """expect-pass when ``missing`` is None: every outcome that is not None is
+    a counterexample.  Otherwise expect-witness: the first outcome that is not
+    None is the witness and the scan stops there; finding none is a failure
+    that says what is ``missing``."""
+    found, broken = _draw(outcomes, first=missing is not None)
+    if missing is None:
+        return TheoremReport(name=name, kind=kind.value, seed=seed, trials=trials,
+                             failures=found + broken)
+    missed = [] if found or broken else [{"reason": f"no witness found: {missing}"}]
     return TheoremReport(
         name=name, kind=kind.value, seed=seed, trials=trials, mode="expect-witness",
-        failures=broken + missed, witnesses=witnesses, elapsed_ms=elapsed(),
+        failures=broken + missed, witnesses=found,
     )
 
 
@@ -140,10 +134,8 @@ class Check(NamedTuple):
         n = self.budget(trials)
         if n < 1:
             raise ValueError(f"{self.name}: {trials} trials give {n}, and a report needs one")
-        outcomes = lambda: self.outcomes(arg, n, seed)
-        if self.missing is None:
-            return pass_report(self.name, kind, seed, n, outcomes)
-        return witness_report(self.name, kind, seed, n, outcomes, self.missing)
+        return _stopwatch(lambda: outcome_report(
+            self.name, kind, seed, n, lambda: self.outcomes(arg, n, seed), self.missing))
 
 
 class Scan(Check):
@@ -155,13 +147,14 @@ class Scan(Check):
 
 
 class Build(NamedTuple):
-    """A row whose report ``build(arg, trials, seed)`` makes whole."""
+    """A row whose report ``build(arg, trials, seed)`` makes whole, apart
+    from its ``elapsed_ms``."""
 
     kinds: tuple[AlgebraKind, ...]
     build: Callable[[object, int, int], TheoremReport]
 
     def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
-        return self.build(arg, trials, seed)
+        return _stopwatch(lambda: self.build(arg, trials, seed))
 
 
 def reports_to_json(reports: list[TheoremReport]) -> str:

@@ -131,8 +131,9 @@ def little_desargues_verify(plane: Plane, cfg: DesarguesConfig) -> bool:
     return plane.incident(desargues_l1(plane, cfg), cfg.axis)
 
 
-def _subseed(seed: int, trial: int) -> int:
-    return seed * 1_000_003 + trial
+def config_seed(seed: int, index: int) -> int:
+    """The seed of a run's ``index``-th Desargues configuration."""
+    return seed * 1_000_003 + index
 
 
 def desargues_falsify(plane: Plane, seed: int, max_trials: int) -> Optional[DesarguesConfig]:
@@ -143,7 +144,7 @@ def desargues_falsify(plane: Plane, seed: int, max_trials: int) -> Optional[Desa
     if max_trials < 1:
         raise ValueError(f"desargues_falsify needs at least one trial, not {max_trials}")
     for trial in range(max_trials):
-        cfg = _build_config(plane, _subseed(seed, trial), center_on_axis=False)
+        cfg = _build_config(plane, config_seed(seed, trial), center_on_axis=False)
         try:
             l1 = desargues_l1(plane, cfg)
         except DegenerateConfig:

@@ -1,10 +1,12 @@
 """Every basis scan of the `identities` suite can fail: given a corrupted
 structure table, Gram matrix or trivolution, the row reports a failure that
-names the offending index."""
+names the offending index.  Whole-report rows are timed, the `g2` witness row
+reports a `g2_triple_check` that accepts, and `little-desargues` derives its
+configuration seeds as the full-Desargues search does."""
 
 import pytest
 
-from okuboplane import suites
+from okuboplane import suites, theorems
 from okuboplane.algebra import (
     BASIS,
     AlgebraKind,
@@ -67,3 +69,32 @@ def test_trivolution_order_names_the_corrupted_basis_vector(monkeypatch):
     report = _report("trivolution-order-three")
     assert report.verdict == "fail"
     assert report.failures == [{"basis": 2}, {"basis": 2, "law": "tau2 = tau o tau"}]
+
+
+def _named(reports, name):
+    return next(r for r in reports if r.name == name)
+
+
+def test_trivolution_table_comparison_is_timed():
+    reports = suites.suite_identities("okubo", 1, 0)
+    assert _named(reports, "trivolution-convention-table-comparison").elapsed_ms > 0
+
+
+def test_g2_mixed_row_fails_when_g2_triple_check_accepts(monkeypatch):
+    monkeypatch.setattr(suites, "g2_triple_check", lambda *maps, trials, seed: True)
+    report = _named(suites.suite_g2("okubo", 3, 0), "g2-triple-mixed-fails")
+    assert report.mode == "expect-witness" and report.verdict == "fail"
+    assert report.failures == [{"reason": "g2_triple_check accepted (tau, id, id)"}]
+    assert len(report.witnesses) == 1 and report.witnesses[0].keys() == {"s", "x"}
+
+
+def test_little_desargues_asks_for_the_config_seeds(monkeypatch):
+    build, seeds = theorems.little_desargues_build, []
+
+    def record(plane, seed):
+        seeds.append(seed)
+        return build(plane, seed)
+
+    monkeypatch.setattr(theorems, "little_desargues_build", record)
+    assert all(r.ok for r in suites.suite_desargues("okubo", 3, 7))
+    assert seeds == [theorems.config_seed(7, i) for i in range(3)]

@@ -181,6 +181,17 @@ def test_constructor_checks_stay():
         HermMat3(0, basis_matrices()[0].entries)
 
 
+@pytest.mark.parametrize(("make", "error", "match"), [
+    (lambda: StructureTable(OK, structure_table(OK).products[:7]), ValueError, "8 rows of 8"),
+    (lambda: GramMatrix(gram().g[:3]), ValueError, "8 rows of 8"),
+    (lambda: StructureTable("okubo", structure_table(OK).products), TypeError, "AlgebraKind"),
+    (lambda: Triality("octonion"), TypeError, "AlgebraKind"),
+], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind"])
+def test_bad_kind_or_shape_fails_when_the_value_is_built(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
 def test_linear_map_columns_follow_its_images():
     rebuilt = LinMap8(list(TAU.images))
     assert rebuilt == TAU and rebuilt.columns == TAU.columns
