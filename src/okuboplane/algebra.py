@@ -25,10 +25,13 @@ matrix model, so the tables can never drift from the oracle.
 Every product, polarisation and linear map is one bilinear contraction,
 sum_ij x_i y_j maps[i](basis_j), computed by one kernel, :func:`_contract`.
 Each ``LinMap8`` it reads (a linear map, a structure table row, a Gram row)
-keeps each non-zero coefficient as ``(k, a, b)``, meaning
-``(a + b*sqrt3)/D`` times ``basis_k`` over one integer denominator ``D`` per
-map (built by :func:`_integer_rows`).  A term ``x_i * y_j * c_ijk`` is then
-one integer triple and one normalisation, and a coordinate is one ``QSqrt3``.
+keeps only its non-empty columns, as ``(j, column)`` pairs, and each non-zero
+coefficient of a column as ``(k, a, b)``, meaning ``(a + b*sqrt3)/D`` times
+``basis_k`` over one integer denominator ``D`` per map (built by
+:func:`_integer_columns`).  The kernel reads those columns only, so a Gram
+contraction visits the 10 non-zero cells of the Gram matrix, not 64.  A term
+``x_i * y_j * c_ijk`` is then one integer triple and one normalisation, and a
+coordinate is one ``QSqrt3``.
 """
 
 from __future__ import annotations
@@ -162,26 +165,27 @@ E = _VEC_BASIS[0]
 BASIS = _VEC_BASIS  # e, i1..i7
 
 
-# An integer coefficient row: each entry (k, a, b) is (a + b*sqrt3)/D * basis_k.
-_IntRow = tuple[tuple[int, int, int], ...]
+# An integer column: each entry (k, a, b) is (a + b*sqrt3)/D * basis_k.
+_IntColumn = tuple[tuple[int, int, int], ...]
 
 
-def _integer_rows(vectors: Sequence[Vec8]) -> tuple[int, tuple[_IntRow, ...]]:
-    """``(D, rows)`` with ``rows[j]`` the non-zero coordinates of
-    ``vectors[j]`` as ``(k, a, b)`` over ``D``, the lcm of their denominators."""
+def _integer_columns(vectors: Sequence[Vec8]) -> tuple[int, tuple[tuple[int, _IntColumn], ...]]:
+    """``(D, columns)`` with a pair ``(j, column)`` in ``columns`` for each
+    non-zero ``vectors[j]``, its non-zero coordinates as ``(k, a, b)`` over
+    ``D``, the lcm of their denominators."""
     den = _lcm(*(c.d for v in vectors for c in v.c))
     return den, tuple(
-        tuple((k, c.p * (den // c.d), c.q * (den // c.d)) for k, c in enumerate(v.c) if c)
-        for v in vectors
+        (j, tuple((k, c.p * (den // c.d), c.q * (den // c.d)) for k, c in enumerate(v.c) if c))
+        for j, v in enumerate(vectors) if v
     )
 
 
 class LinMap8(Frozen):
     """An exact linear map of the 8-space, given by the images of the basis
-    vectors; the images are also kept as integer rows, ``columns[j]`` the
-    image of ``basis_j`` as ``(k, a, b)`` over the one denominator ``den``
-    (like the rows of a structure table).  ``a @ b`` is the composite
-    x -> a(b(x))."""
+    vectors; the non-zero images are also kept as integer columns, a pair
+    ``(j, column)`` in ``columns`` for the image of ``basis_j`` as
+    ``(k, a, b)`` over the one denominator ``den`` (a zero image has no
+    pair).  ``a @ b`` is the composite x -> a(b(x))."""
 
     __slots__ = ("images", "den", "columns")
     _fields = ("images",)  # den and columns are derived from the images
@@ -193,7 +197,7 @@ class LinMap8(Frozen):
         if not all(isinstance(v, Vec8) for v in images):
             raise TypeError("LinMap8 images must be Vec8")
         Frozen.__init__(self, images)
-        den, columns = _integer_rows(images)
+        den, columns = _integer_columns(images)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "columns", columns)
 
@@ -211,18 +215,19 @@ class LinMap8(Frozen):
 
 def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[tuple[int, int, int]]:
     """The coordinates of sum_ij x_i y_j maps[i](basis_j) as canonical triples: each
-    term, one integer triple over ``d_x d_y D`` from the integer columns, is added
-    to its coordinate by ``scalar._add``.  Callers build a ``QSqrt3`` per coordinate read."""
+    term, one integer triple over ``d_x d_y D`` from the non-empty integer columns,
+    is added to its coordinate by ``scalar._add``.  Callers build a ``QSqrt3`` per
+    coordinate read."""
     out = [(0, 0, 1)] * 8
-    ys = [(j, c.p, c.q, c.d) for j, c in enumerate(y.c) if c]
+    ys = [(c.p, c.q, c.d) for c in y.c]
     for xi, f in zip(xs, maps):
-        if not xi:
+        xp, xq = xi.p, xi.q
+        if not (xp or xq):
             continue
-        xp, xq, xd = xi.p, xi.q, xi.d * f.den
-        columns = f.columns
-        for j, yp, yq, yd in ys:
-            column = columns[j]
-            if not column:
+        xd = xi.d * f.den
+        for j, column in f.columns:
+            yp, yq, yd = ys[j]
+            if not (yp or yq):
                 continue
             sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
             for k, a, b in column:
@@ -684,19 +689,41 @@ _DRAWS = tuple(
     tuple((QSqrt3.of(num, den), QSqrt3.of(num, den, sqrt3=True)) for den in (1, 2))
     for num in range(-3, 4)
 )
+_SEVEN_OR_MORE, _TWO_OR_MORE = (7).__le__, (2).__le__
+
+
+def _scalars(rng: random.Random, count: int) -> list[QSqrt3]:
+    """``count`` scalars, each drawn with the rng calls of
+    ``rng.choice(rng.choice(_DRAWS))`` and then ``rng.random() < 0.25``.  A
+    ``choice`` of 7 or 2 items is CPython's ``_randbelow``: ``getrandbits(3)``
+    drawn again while it reads 7, ``getrandbits(2)`` while it reads 2 or 3.
+    The redraws go through ``draw`` with the bit count ``k`` in place of the
+    rng, so ``make(k)`` is ``getrandbits(k)`` and ``_RETRIES`` bounds them."""
+    bits, uniform = rng.getrandbits, rng.random
+    out = []
+    for _ in range(count):
+        num = bits(3)
+        if num > 6:
+            num = draw(3, bits, _SEVEN_OR_MORE)
+        den = bits(2)
+        if den > 1:
+            den = draw(2, bits, _TWO_OR_MORE)
+        out.append(_DRAWS[num][den][uniform() < 0.25])
+    return out
 
 
 def random_scalar(rng: random.Random) -> QSqrt3:
     """Bounded generator: numerator in [-3, 3], denominator in {1, 2},
     optionally carried by sqrt3; keeps exact growth small in deep chains.
-    The two choices make the same rng calls as ``randint(-3, 3)`` and
-    ``choice((1, 2))``, so the stream is that of drawing ``num`` and ``den``."""
-    rational, surd = rng.choice(rng.choice(_DRAWS))
-    return surd if rng.random() < 0.25 else rational
+    Makes the rng calls of ``randint(-3, 3)``, ``choice((1, 2))`` and
+    ``random() < 0.25``, so the stream is that of drawing ``num``, ``den``
+    and the sqrt3 flag."""
+    return _scalars(rng, 1)[0]
 
 
 def random_vec(rng: random.Random) -> Vec8:
-    return _vec(tuple([random_scalar(rng) for _ in range(8)]))
+    """Eight ``random_scalar`` draws in one loop."""
+    return _vec(tuple(_scalars(rng, 8)))
 
 
 class DegenerateAfterRetries(RuntimeError):

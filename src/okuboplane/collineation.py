@@ -57,12 +57,19 @@ class KindMismatch(TypeError):
 
 class Collineation(Frozen):
     """Base: a plane map with fixed source and target kinds, both ``kind`` unless
-    a subclass overrides them.  A subclass gives ``invert`` and one ``_image``
-    over all six point and line types (returning the elements it fixes); the
-    base applies it to a point or a line and rejects the other family."""
+    a subclass overrides them; a kind that is not an ``AlgebraKind`` raises
+    ``TypeError`` when the map is built.  A subclass gives ``invert`` and one
+    ``_image`` over all six point and line types (returning the elements it
+    fixes); the base applies it to a point or a line and rejects the other
+    family."""
 
     __slots__ = ()
     kind: AlgebraKind
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        algebra_kind(self.source)
+        algebra_kind(self.target)
 
     @property
     def source(self) -> AlgebraKind:
@@ -137,14 +144,13 @@ class Triality(Collineation):
 
     Defined on the Okubo and para planes, where ``Plane.sharp(v.cyclic())`` is
     ``sharp(v).cyclic()`` for every v; the octonionic adjoint breaks this at
-    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``, and a kind
-    that is not an ``AlgebraKind`` raises ``TypeError``.
+    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``.
     """
 
     __slots__ = ("kind", "inverse")
 
     def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
-        if algebra_kind(kind) is AlgebraKind.OCTONION:
+        if kind is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
         super().__init__(kind, inverse)
 

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from okuboplane.algebra import (
     RepresentationViolation,
     Vec8,
     _DRAWS,
+    _RETRIES,
     basis_matrices,
     check_identity,
     conjugate_oct,
@@ -256,16 +258,26 @@ def _rows_and_entries(case):
     "case", [*AlgebraKind, "gram"], ids=[k.value for k in AlgebraKind] + ["gram"]
 )
 def test_integer_rows_rebuild_every_table_entry(case):
+    # only non-empty columns are kept: an absent column is a zero image
     rows, entries = _rows_and_entries(case)
     assert len(rows) == 8
+    stored = 0
     for i, left in enumerate(rows):
         assert left.den in (1, 2)
-        for j, column in enumerate(left.columns):
+        images = [ZERO] * 8
+        for j, column in left.columns:
+            assert column
             coords = [QS_ZERO] * 8
             for k, a, b in column:
                 assert type(a) is int and type(b) is int and (a or b)
                 coords[k] = QSqrt3(Fraction(a, left.den), Fraction(b, left.den))
-            assert Vec8(coords) == entries[i][j]
+            images[j] = Vec8(coords)
+        js = [j for j, _ in left.columns]
+        assert js == sorted(set(js))
+        assert images == list(entries[i])
+        stored += len(left.columns)
+    assert stored == sum(1 for row in entries for v in row if v)
+    assert stored == (10 if case == "gram" else 64)
     if case == "gram":  # polar is bilinear: the basis pairs prove the kernel's Gram path
         for i, x in enumerate(BASIS):
             for j, y in enumerate(BASIS):
@@ -582,12 +594,37 @@ def _three_call_scalar(rng):
     return QSqrt3.of(num, den, sqrt3=rng.random() < 0.25)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 1000])
+@pytest.mark.parametrize("seed", [*range(50), 1000])
 def test_random_vec_keeps_the_three_call_stream(seed):
     rng, ref = trial_rng(seed, 3), trial_rng(seed, 3)
     for _ in range(100):
         assert random_vec(rng) == Vec8([_three_call_scalar(ref) for _ in range(8)])
     assert rng.random() == ref.random()
+
+
+class _OutOfRangeBits(random.Random):
+    """A generator whose ``getrandbits(k)`` reads 0 before its ``start``-th
+    call and 2**k - 1, out of range for ``random_scalar``, from then on; it
+    stops the test instead of hanging if the redraws are not bounded."""
+
+    def __init__(self, start):
+        super().__init__(0)
+        self.start, self.calls = start, []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        assert len(self.calls) <= 10 * _RETRIES, "the redraws are not bounded"
+        return (1 << k) - 1 if len(self.calls) >= self.start else 0
+
+
+@pytest.mark.parametrize("bits, start", [(3, 1), (2, 2)], ids=["numerator", "denominator"])
+def test_random_vec_gives_up_after_the_retry_budget(bits, start):
+    # the first draw of the numerator (3 bits) or the denominator (2 bits),
+    # then exactly _RETRIES redraws, all out of range
+    rng = _OutOfRangeBits(start)
+    with pytest.raises(DegenerateAfterRetries, match=f"{_RETRIES} draws"):
+        random_vec(rng)
+    assert rng.calls == [3] * (start - 1) + [bits] * (1 + _RETRIES)
 
 
 def test_draw_returns_the_first_accepted_draw():

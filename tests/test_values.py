@@ -186,7 +186,12 @@ def test_constructor_checks_stay():
     (lambda: GramMatrix(gram().g[:3]), ValueError, "8 rows of 8"),
     (lambda: StructureTable("okubo", structure_table(OK).products), TypeError, "AlgebraKind"),
     (lambda: Triality("octonion"), TypeError, "AlgebraKind"),
-], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind"])
+    (lambda: Translation("okubo", E, E), TypeError, "AlgebraKind"),
+    (lambda: Shear("okubo", I1), TypeError, "AlgebraKind"),
+    (lambda: ChartMap("F", "G", "okubo", OK, TAU, TAU), TypeError, "AlgebraKind"),
+    (lambda: ChartMap("F", "G", OK, None, TAU, TAU), TypeError, "AlgebraKind"),
+], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind",
+        "translation-string-kind", "shear-string-kind", "chart-string-source", "chart-none-target"])
 def test_bad_kind_or_shape_fails_when_the_value_is_built(make, error, match):
     with pytest.raises(error, match=match):
         make()
