@@ -21,11 +21,10 @@ from okuboplane.collineation import (
     Translation,
     Triality,
     compose,
-    is_isometry,
-    preserves_incidence,
     transported_reflection,
 )
 from okuboplane.plane import OKUBO_PLANE, AffinePoint, random_affine_point
+from okuboplane.suites import is_isometry, preserves_incidence
 
 OK = AlgebraKind.OKUBO
 

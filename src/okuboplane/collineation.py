@@ -44,10 +44,7 @@ from .plane import (
     InfiniteElement,
     PostconditionViolation,
     WrongElement,
-    random_incident_pair,
-    random_affine_point,
 )
-from .report import Check, TheoremReport
 from .scalar import Frozen
 
 
@@ -273,38 +270,6 @@ class Composite(Collineation):
 def compose(*colls: Collineation) -> Composite:
     """compose(c1, c2)(p) applies c1 first, then c2."""
     return Composite(colls)
-
-
-def _keeps_incidence(maps: tuple[Collineation, Collineation], rng) -> dict | None:
-    """An incident pair whose images are not incident: forward, then inverse."""
-    for direction, c in zip(("forward", "inverse"), maps):
-        p, l = random_incident_pair(c.source_plane, rng)
-        if not c.target_plane.incident(c.apply_point(p), c.apply_line(l)):
-            return {"direction": direction, "point": p.to_json(), "line": l.to_json()}
-    return None
-
-
-def _keeps_distance(c: Collineation, rng) -> dict | None:
-    """An affine pair whose n(dx)^2 + n(dy)^2 changes under the map."""
-    p, q = random_affine_point(rng), random_affine_point(rng)
-    pi, qi = c.apply_point(p), c.apply_point(q)
-    if not (isinstance(pi, AffinePoint) and isinstance(qi, AffinePoint)):
-        return {"point": p.to_json(), "reason": "image not affine"}
-    if c.target_plane.distance(pi, qi) != c.source_plane.distance(p, q):
-        return {"p": p.to_json(), "q": q.to_json()}
-    return None
-
-
-def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremReport:
-    """Random incident pairs stay incident under the map and under its inverse."""
-    row = Check(f"incidence-preservation:{c.name}", (c.source,), _keeps_incidence)
-    return row.report(c.source, (c, c.invert()), trials, seed)
-
-
-def is_isometry(c: Collineation, trials: int, seed: int) -> TheoremReport:
-    """Exact equality of ``Plane.distance`` (affine chart, not elliptic) on random affine pairs."""
-    row = Check(f"isometry:{c.name}", (c.source,), _keeps_distance)
-    return row.report(c.source, c, trials, seed)
 
 
 def transported_reflection(p: PjPoint) -> PjPoint:

@@ -252,9 +252,12 @@ class Plane(Frozen):
         return INFINITY_POINT
 
     def parallel_through(self, l: PjLine, p: AffinePoint) -> PjLine:
-        """The unique affine line through p parallel to l: p joined to l's point at infinity."""
+        """The unique affine line through the affine point p parallel to l: p joined to
+        l's point at infinity.  ``InfiniteElement`` when l or p is at infinity."""
         if l == LINE_AT_INFINITY:
             raise InfiniteElement("no affine parallel to the line at infinity")
+        if isinstance(p, (SlopePoint, InfinityPoint)):
+            raise InfiniteElement(f"no affine line through the point at infinity {p}")
         return self.join(p, self.meet(l, LINE_AT_INFINITY))
 
     # -- Veronese correspondence -------------------------------------------

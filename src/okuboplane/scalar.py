@@ -271,21 +271,17 @@ QS_HALF = _raw(1, 0, 2)
 SQRT3 = _raw(0, 1, 1)
 
 
-def _render_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def render(x: QSqrt3) -> str:
     """Canonical text form ``p/q + r/s*sqrt3`` (terms dropped when zero)."""
     a, b = x.a, x.b
     if not b:
-        return _render_fraction(a)
-    bs = "sqrt3" if b == 1 else ("-sqrt3" if b == -1 else f"{_render_fraction(b)}*sqrt3")
+        return str(a)
+    bs = "sqrt3" if b == 1 else ("-sqrt3" if b == -1 else f"{b}*sqrt3")
     if not a:
         return bs
     if b < 0:
-        return f"{_render_fraction(a)} - {bs.lstrip('-')}"
-    return f"{_render_fraction(a)} + {bs}"
+        return f"{a} - {bs.lstrip('-')}"
+    return f"{a} + {bs}"
 
 
 _SCALAR_RE = re.compile(

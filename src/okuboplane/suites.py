@@ -50,14 +50,13 @@ from .collineation import (
     PHI_INV,
     PPHI,
     PPHI_INV,
+    Collineation,
     OctReflection,
     Shear,
     Translation,
     Triality,
     compose,
     g2_triple_check,
-    is_isometry,
-    preserves_incidence,
     transported_reflection,
 )
 from .plane import (
@@ -204,9 +203,11 @@ def _idempotent_actions(kind, rng):
 
 
 def _structure_oracle(kind, n, seed):
-    mats, table = basis_matrices(), structure_table(kind)
+    """Each basis product read through the integer columns that ``mul`` reads,
+    against the matrix model."""
+    mats, rows = basis_matrices(), structure_table(kind).rows
     for i, j in product(range(8), repeat=2):
-        if table.products[i][j] != matrix_to_vec(okubo_matrix_mul(mats[i], mats[j])):
+        if rows[i].apply(BASIS[j]) != matrix_to_vec(okubo_matrix_mul(mats[i], mats[j])):
             yield {"i": i, "j": j}
 
 
@@ -405,6 +406,21 @@ suite_veronese = _suite(VERONESE_ROWS, PLANES.__getitem__)
 
 # -- collineations (arg: the kind) --------------------------------------------------
 
+def _keeps_incidence(maps: tuple[Collineation, Collineation], rng) -> dict | None:
+    """An incident pair whose images are not incident: forward, then inverse."""
+    for direction, c in zip(("forward", "inverse"), maps):
+        p, l = random_incident_pair(c.source_plane, rng)
+        if not c.target_plane.incident(c.apply_point(p), c.apply_line(l)):
+            return {"direction": direction, "point": p.to_json(), "line": l.to_json()}
+    return None
+
+
+def preserves_incidence(c: Collineation, trials: int, seed: int) -> TheoremReport:
+    """Random incident pairs stay incident under the map and under its inverse."""
+    row = Check(f"incidence-preservation:{c.name}", (c.source,), _keeps_incidence)
+    return row.report(c.source, (c, c.invert()), trials, seed)
+
+
 def _incidence(kinds, make) -> Build:
     """Row: ``make(kind)`` preserves incidence both ways."""
     return Build(kinds, lambda kind, trials, seed: preserves_incidence(make(kind), trials, seed))
@@ -505,6 +521,23 @@ def suite_collineations(kind: str, trials: int, seed: int) -> list[TheoremReport
               _fixes(lambda k: compose(OctReflection(), OctReflection())), _upto(100)),
     )
     return _suite(rows)(kind, trials, seed)
+
+
+def _keeps_distance(c: Collineation, rng) -> dict | None:
+    """An affine pair whose n(dx)^2 + n(dy)^2 changes under the map."""
+    p, q = random_affine_point(rng), random_affine_point(rng)
+    pi, qi = c.apply_point(p), c.apply_point(q)
+    if not (isinstance(pi, AffinePoint) and isinstance(qi, AffinePoint)):
+        return {"point": p.to_json(), "reason": "image not affine"}
+    if c.target_plane.distance(pi, qi) != c.source_plane.distance(p, q):
+        return {"p": p.to_json(), "q": q.to_json()}
+    return None
+
+
+def is_isometry(c: Collineation, trials: int, seed: int) -> TheoremReport:
+    """Exact equality of ``Plane.distance`` (affine chart, not elliptic) on random affine pairs."""
+    row = Check(f"isometry:{c.name}", (c.source,), _keeps_distance)
+    return row.report(c.source, c, trials, seed)
 
 
 def suite_isometry(kind: str, trials: int, seed: int) -> list[TheoremReport]:

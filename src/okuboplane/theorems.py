@@ -97,10 +97,7 @@ def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> Desarg
         side = plane.join(a, v)
         l = plane.meet(side, axis)
         ray = plane.join(v, center)
-        line_la1 = plane.join(l, a1)
-        if line_la1 == ray:
-            raise _Retry
-        v1 = plane.meet(line_la1, ray)
+        v1 = plane.meet(plane.join(l, a1), ray)  # EqualLines restarts the draw
         if v1 in (v, center, *taken):
             raise _Retry
         return v, v1, l, side, ray
@@ -145,10 +142,7 @@ def desargues_falsify(plane: Plane, seed: int, max_trials: int) -> Optional[Desa
         raise ValueError(f"desargues_falsify needs at least one trial, not {max_trials}")
     for trial in range(max_trials):
         cfg = _build_config(plane, config_seed(seed, trial), center_on_axis=False)
-        try:
-            l1 = desargues_l1(plane, cfg)
-        except DegenerateConfig:
-            continue
+        l1 = desargues_l1(plane, cfg)  # the build made c != b, c' != b' and cb != c'b'
         if not plane.incident(l1, cfg.axis):
             return DesarguesConfig(*cfg._values(cfg)[:-1], l1)
     return None

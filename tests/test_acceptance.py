@@ -35,12 +35,12 @@ from okuboplane.collineation import (
     PPHI,
     compose,
     g2_triple_check,
-    is_isometry,
-    preserves_incidence,
     transported_reflection_closed_form,
 )
 from okuboplane.plane import PLANES, random_affine_point, random_point
 from okuboplane.suites import (
+    is_isometry,
+    preserves_incidence,
     suite_all,
     suite_plane_axioms,
     suite_veronese,

@@ -31,8 +31,6 @@ from okuboplane.collineation import (
     Triality,
     compose,
     g2_triple_check,
-    is_isometry,
-    preserves_incidence,
     transported_reflection,
     transported_reflection_closed_form,
 )
@@ -51,6 +49,7 @@ from okuboplane.plane import (
     random_line,
     random_point,
 )
+from okuboplane.suites import is_isometry, preserves_incidence
 OK = AlgebraKind.OKUBO
 OC = AlgebraKind.OCTONION
 PA = AlgebraKind.PARA_OCTONION

@@ -1,4 +1,5 @@
-"""Smoke test: each demo script runs to completion and prints something."""
+"""Smoke test: each demo script runs to completion and prints something, and
+the README quick start prints what its comments say."""
 
 import os
 import subprocess
@@ -28,3 +29,24 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    assert len(printed) == len(expected) == 4
+    # a comment is the printed text, then perhaps a remark after a comma or colon
+    for line, comment in zip(printed, expected):
+        assert comment == line or comment.startswith((line + ",", line + ":")), (line, comment)

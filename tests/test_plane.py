@@ -468,6 +468,15 @@ def test_parallel_through_is_the_join_with_the_point_at_infinity():
         OKUBO_PLANE.parallel_through(LINE_AT_INFINITY, p)
 
 
+@pytest.mark.parametrize("l", [FiniteLine(E, I1), VerticalLine(E)], ids=["finite", "vertical"])
+@pytest.mark.parametrize("p", [SlopePoint(Vec8.basis(2)), SlopePoint(E), INFINITY_POINT],
+                         ids=["slope-i2", "slope-e", "infinity"])
+def test_parallel_through_a_point_at_infinity_raises(l, p):
+    # no affine line passes through a point at infinity
+    with pytest.raises(InfiniteElement):
+        OKUBO_PLANE.parallel_through(l, p)
+
+
 _AFFINE = {"t": "affine", "x": ["0"] * 8, "y": ["1"] + ["0"] * 7}
 
 

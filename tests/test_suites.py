@@ -4,6 +4,8 @@ names the offending index.  Whole-report rows are timed, the `g2` witness row
 reports a `g2_triple_check` that accepts, and `little-desargues` derives its
 configuration seeds as the full-Desargues search does."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from okuboplane import suites, theorems
@@ -11,6 +13,7 @@ from okuboplane.algebra import (
     BASIS,
     AlgebraKind,
     GramMatrix,
+    LinMap8,
     StructureTable,
     gram,
     structure_table,
@@ -37,6 +40,19 @@ def test_structure_oracle_names_a_corrupted_product(monkeypatch):
     products = [list(row) for row in table.products]
     products[2][5] = products[2][5] + BASIS[0]
     corrupted = StructureTable(table.kind, tuple(map(tuple, products)))
+    monkeypatch.setattr(suites, "structure_table", lambda kind: corrupted)
+    report = _report("structure-table-vs-matrix-oracle")
+    assert report.verdict == "fail"
+    assert report.failures == [{"i": 2, "j": 5}]
+
+
+def test_structure_oracle_reads_the_columns_that_mul_reads(monkeypatch):
+    # the products are intact; only row 2's integer column for i5 is corrupted
+    table = structure_table(OK)
+    images = list(table.products[2])
+    images[5] = images[5] + BASIS[0]
+    rows = table.rows[:2] + (LinMap8(images),) + table.rows[3:]
+    corrupted = SimpleNamespace(kind=OK, products=table.products, rows=rows)
     monkeypatch.setattr(suites, "structure_table", lambda kind: corrupted)
     report = _report("structure-table-vs-matrix-oracle")
     assert report.verdict == "fail"
