@@ -19,8 +19,9 @@ Everything else is derived from it:
 
 Structure tables for the three products are computed once from the matrix
 model and cached; coordinate-level multiplication expands bilinearly over the
-cached table.  A mandatory test re-multiplies every table entry through the
-matrix model, so the tables can never drift from the oracle.
+cached table.  The 64 Okubo basis products are derived once, and read by the
+table and by its oracle row.  A mandatory test re-multiplies every table
+entry through the matrix model, so the tables can never drift from the oracle.
 
 Every product, polarisation and linear map is one bilinear contraction,
 sum_ij x_i y_j maps[i](basis_j), computed by one kernel, :func:`_contract`.
@@ -468,14 +469,17 @@ class StructureTable(Frozen):
         }
 
 
+@lru_cache(maxsize=1)
+def okubo_basis_products() -> tuple[tuple[Vec8, ...], ...]:
+    """The Okubo products ``basis_i * basis_j`` through the matrix model, 8 by 8."""
+    mats = basis_matrices()
+    return tuple(tuple(matrix_to_vec(okubo_matrix_mul(x, y)) for y in mats) for x in mats)
+
+
 @lru_cache(maxsize=None)
 def structure_table(kind: AlgebraKind) -> StructureTable:
     if algebra_kind(kind) is AlgebraKind.OKUBO:
-        mats = basis_matrices()
-        products = [
-            [matrix_to_vec(okubo_matrix_mul(mats[i], mats[j])) for j in range(8)]
-            for i in range(8)
-        ]
+        products = okubo_basis_products()
     elif kind is AlgebraKind.OCTONION:
         # Kaplansky product x.y = (e*x)*(y*e), bilinear, so basis level suffices
         ok = structure_table(AlgebraKind.OKUBO).rows

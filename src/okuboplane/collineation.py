@@ -141,7 +141,8 @@ class Triality(Collineation):
 
     Defined on the Okubo and para planes, where ``Plane.sharp(v.cyclic())`` is
     ``sharp(v).cyclic()`` for every v; the octonionic adjoint breaks this at
-    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``.
+    v = (e, e, i1; 0, 0, 0), so octonions raise ``KindMismatch``; ``inverse``
+    is a bool (``TypeError`` otherwise).
     """
 
     __slots__ = ("kind", "inverse")
@@ -149,6 +150,8 @@ class Triality(Collineation):
     def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
         if kind is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
+        if type(inverse) is not bool:
+            raise TypeError(f"the triality's inverse flag is a bool, not {inverse!r}")
         super().__init__(kind, inverse)
 
     def _shift(self, v: VeroneseVec) -> VeroneseVec:

@@ -24,6 +24,7 @@ import random
 from .algebra import (
     AlgebraKind,
     Vec8,
+    algebra_kind,
     draw,
     left_quotient,
     mul,
@@ -177,10 +178,13 @@ def beta(v: VeroneseVec, w: VeroneseVec) -> QSqrt3:
 
 
 class Plane(Frozen):
-    """One of the three planes; the kind selects product, slope/meet formulas
-    and the Veronese variant."""
+    """One of the three planes; the kind, an ``AlgebraKind`` (``TypeError``
+    otherwise), selects product, slope/meet formulas and the Veronese variant."""
 
     __slots__ = ("kind",)
+
+    def __init__(self, kind: AlgebraKind) -> None:
+        Frozen.__init__(self, algebra_kind(kind))
 
     def mul(self, x: Vec8, y: Vec8) -> Vec8:
         return mul(self.kind, x, y)

@@ -21,10 +21,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .algebra import AlgebraKind, trial_rng
 from .plane import PostconditionViolation
 
-# Produces a report's outcomes (None for a trial with nothing to record); it is
-# called inside the row's stopwatch, so a generator function times its work.
-Outcomes = Callable[[], Iterable[Optional[dict]]]
-
 
 class TheoremReport:
     """One named report; ``mode`` is "expect-pass" or "expect-witness"."""
@@ -81,12 +77,12 @@ def _stopwatch(make: Callable[[], TheoremReport]) -> TheoremReport:
     return report
 
 
-def _draw(outcomes: Outcomes, first: bool) -> tuple[list[dict], list[dict]]:
+def _draw(outcomes: Iterable[Optional[dict]], first: bool) -> tuple[list[dict], list[dict]]:
     """The outcomes that are not None (only the first one if ``first``), and
     the record of the broken postcondition that ended the draw, if any."""
     found: list[dict] = []
     try:
-        for outcome in outcomes():
+        for outcome in outcomes:
             if outcome is not None:
                 found.append(outcome)
                 if first:
@@ -97,11 +93,13 @@ def _draw(outcomes: Outcomes, first: bool) -> tuple[list[dict], list[dict]]:
 
 
 def outcome_report(
-    name: str, kind: AlgebraKind, seed: int, trials: int, outcomes: Outcomes,
-    missing: Optional[str],
+    name: str, kind: AlgebraKind, seed: int, trials: int,
+    outcomes: Iterable[Optional[dict]], missing: Optional[str],
 ) -> TheoremReport:
-    """expect-pass when ``missing`` is None: every outcome that is not None is
-    a counterexample.  Otherwise expect-witness: the first outcome that is not
+    """The report of a lazy stream of ``outcomes`` (None for a trial with
+    nothing to record), which runs as it is drawn, in the row's stopwatch.
+    expect-pass when ``missing`` is None: every outcome that is not None is a
+    counterexample.  Otherwise expect-witness: the first outcome that is not
     None is the witness and the scan stops there; finding none is a failure
     that says what is ``missing``."""
     found, broken = _draw(outcomes, first=missing is not None)
@@ -135,12 +133,13 @@ class Check(NamedTuple):
         if n < 1:
             raise ValueError(f"{self.name}: {trials} trials give {n}, and a report needs one")
         return _stopwatch(lambda: outcome_report(
-            self.name, kind, seed, n, lambda: self.outcomes(arg, n, seed), self.missing))
+            self.name, kind, seed, n, self.outcomes(arg, n, seed), self.missing))
 
 
 class Scan(Check):
-    """A row whose generator ``check(arg, n, seed)`` yields the outcomes
-    itself: a basis scan, or a search that derives its own seeds."""
+    """A row whose ``check(arg, n, seed)`` yields the outcomes itself: a
+    basis scan, or a search that derives its own seeds.  ``check`` is a
+    generator function, so nothing runs before the report draws the stream."""
 
     def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
         return self.check(arg, n, seed)

@@ -11,9 +11,9 @@ Internally a value is stored as one integer triple ``(p + q*sqrt3)/d`` with
 divide coordinates, so arbitrary-precision integers are mandatory and the
 single shared denominator keeps the gcd work per operation minimal (none
 at all when the denominator is 1).  Every value, ``QSqrt3(a, b)`` included,
-is built by one normaliser, ``_canonical``, which writes the slots directly,
-and every sum by one adder, ``_add``, which sums two integer triples to a
-reduced one: ``+``, ``-`` and every product-kernel term go through it.
+is built by one normaliser, ``_canonical``, which writes the slots through
+``_raw``, and every sum by one adder, ``_add``, which sums two integer triples
+to a reduced one: ``+``, ``-`` and every product-kernel term go through it.
 """
 
 from __future__ import annotations
@@ -162,10 +162,7 @@ class QSqrt3:
         if other.__class__ is not QSqrt3:
             return NotImplemented
         # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 3 q1 q2) + (p1 q2 + q1 p2) s
-        q1, q2 = self.q, other.q
-        if q1 == 0 and q2 == 0:
-            return _canonical(self.p * other.p, 0, self.d * other.d)
-        p1, p2 = self.p, other.p
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
         return _canonical(p1 * p2 + 3 * q1 * q2, p1 * q2 + q1 * p2, self.d * other.d)
 
     def inv(self) -> QSqrt3:
@@ -235,11 +232,7 @@ def _canonical(p: int, q: int, d: int) -> QSqrt3:
             p //= g
             q //= g
             d //= g
-    out = _new(QSqrt3)
-    _set_p(out, p)
-    _set_q(out, q)
-    _set_d(out, d)
-    return out
+    return _raw(p, q, d)
 
 
 def _add(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> tuple[int, int, int]:
@@ -257,7 +250,7 @@ def _add(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> tuple[int, int
 
 
 def _raw(p: int, q: int, d: int) -> QSqrt3:
-    """The value ``(p + q*sqrt3)/d`` of a triple that already is canonical."""
+    """The value ``(p + q*sqrt3)/d`` of a canonical triple; the one slot writer."""
     out = _new(QSqrt3)
     _set_p(out, p)
     _set_q(out, q)

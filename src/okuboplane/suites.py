@@ -25,14 +25,12 @@ from .algebra import (
     AlgebraKind,
     E,
     Vec8,
-    basis_matrices,
     check_identity,
     conjugate_oct,
     gram,
-    matrix_to_vec,
     mul,
     norm,
-    okubo_matrix_mul,
+    okubo_basis_products,
     product_conversion_crosscheck,
     random_nonzero_vec,
     random_vec,
@@ -204,10 +202,10 @@ def _idempotent_actions(kind, rng):
 
 def _structure_oracle(kind, n, seed):
     """Each basis product read through the integer columns that ``mul`` reads,
-    against the matrix model."""
-    mats, rows = basis_matrices(), structure_table(kind).rows
+    against the matrix model's products."""
+    grid, rows = okubo_basis_products(), structure_table(kind).rows
     for i, j in product(range(8), repeat=2):
-        if rows[i].apply(BASIS[j]) != matrix_to_vec(okubo_matrix_mul(mats[i], mats[j])):
+        if rows[i].apply(BASIS[j]) != grid[i][j]:
             yield {"i": i, "j": j}
 
 

@@ -66,13 +66,9 @@ def _build_config(plane: Plane, seed: int, center_on_axis: bool) -> DesarguesCon
         rng = trial_rng(seed, attempt)
         try:
             return _try_build(plane, rng, center_on_axis)
-        except (EqualPoints, EqualLines, _Retry):
+        except (EqualPoints, EqualLines):
             continue
     raise DegenerateAfterRetries("no non-degenerate configuration within the retry budget")
-
-
-class _Retry(Exception):
-    """Internal: restart the whole configuration draw."""
 
 
 def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> DesarguesConfig:
@@ -99,14 +95,14 @@ def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> Desarg
         ray = plane.join(v, center)
         v1 = plane.meet(plane.join(l, a1), ray)  # EqualLines restarts the draw
         if v1 in (v, center, *taken):
-            raise _Retry
+            raise EqualPoints("v' repeats v, the center or a taken vertex")
         return v, v1, l, side, ray
 
     b, b1, l3, line_ab, line_bp = vertex((axis, line_ap), a1)
     c, c1, l2, _, _ = vertex((axis, line_ap, line_bp, line_ab), b1, a1)
 
     if plane.join(c, b) == plane.join(c1, b1):
-        raise _Retry
+        raise EqualLines("the sides cb and c'b' coincide")
     return DesarguesConfig(center, axis, a, b, c, a1, b1, c1, l2, l3)
 
 

@@ -22,7 +22,7 @@ def _outcomes(*items):
                 raise item
             yield item
 
-    return outcomes
+    return outcomes()
 
 
 def test_pass_report_keeps_failures_before_a_broken_postcondition():

@@ -1,9 +1,12 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from okuboplane import scalar
 from okuboplane.algebra import SIX_MU, SIX_MU_BAR, Vec8, entry_conj, entry_mul
 from okuboplane.scalar import (
     QS_ONE,
@@ -215,3 +218,25 @@ def test_a_plain_number_operand_raises_type_error(op):
     # the operators return NotImplemented for a foreign operand, so Python raises TypeError
     with pytest.raises(TypeError, match="unsupported operand"):
         op(QSqrt3(1))
+
+
+def _functions_calling(names):
+    """The functions and methods of ``scalar.py`` that call one of ``names``,
+    each with the number of such calls."""
+    tree = ast.parse(Path(scalar.__file__).read_text())
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Name) and n.func.id in names]
+            if calls:
+                found[fn.name] = len(calls)
+    return found
+
+
+def test_only_raw_writes_the_slots():
+    assert _functions_calling({"_set_p", "_set_q", "_set_d"}) == {"_raw": 3}
+
+
+def test_mul_has_one_product_formula():
+    assert _functions_calling({"_canonical"})["__mul__"] == 1

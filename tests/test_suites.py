@@ -4,11 +4,13 @@ names the offending index.  Whole-report rows are timed, the `g2` witness row
 reports a `g2_triple_check` that accepts, and `little-desargues` derives its
 configuration seeds as the full-Desargues search does."""
 
+import ast
+import inspect
 from types import SimpleNamespace
 
 import pytest
 
-from okuboplane import suites, theorems
+from okuboplane import algebra, suites, theorems
 from okuboplane.algebra import (
     BASIS,
     AlgebraKind,
@@ -18,6 +20,7 @@ from okuboplane.algebra import (
     gram,
     structure_table,
 )
+from okuboplane.report import Scan
 from okuboplane.scalar import QS_ZERO
 
 OK = AlgebraKind.OKUBO
@@ -57,6 +60,35 @@ def test_structure_oracle_reads_the_columns_that_mul_reads(monkeypatch):
     report = _report("structure-table-vs-matrix-oracle")
     assert report.verdict == "fail"
     assert report.failures == [{"i": 2, "j": 5}]
+
+
+def test_structure_oracle_multiplies_no_matrices(monkeypatch):
+    # the matrix model's 64 products are derived once, by algebra.okubo_basis_products
+    _report("structure-table-vs-matrix-oracle")  # the first report may derive them
+    calls, matrix_mul = [], algebra.okubo_matrix_mul
+
+    def counted(x, y):
+        calls.append((x, y))
+        return matrix_mul(x, y)
+
+    monkeypatch.setattr(algebra, "okubo_matrix_mul", counted)
+    monkeypatch.setattr(suites, "okubo_matrix_mul", counted, raising=False)
+    assert _report("structure-table-vs-matrix-oracle").verdict == "pass"
+    assert _report("structure-table-vs-matrix-oracle").verdict == "pass"
+    assert calls == []
+
+
+def test_every_scan_check_is_a_generator_function():
+    # a report draws the outcome stream inside its stopwatch; a generator
+    # function runs nothing before the stream is drawn
+    scans = [row for value in vars(suites).values()
+             for row in (value if isinstance(value, tuple) else (value,))
+             if isinstance(row, Scan)]
+    tree = ast.parse(inspect.getsource(suites))
+    written = [n for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Scan"]
+    assert len(set(map(id, scans))) == len(written)
+    assert [s.name for s in scans if not inspect.isgeneratorfunction(s.check)] == []
 
 
 def test_gram_minors_name_the_first_non_positive_minor(monkeypatch):

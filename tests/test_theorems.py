@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -104,6 +105,39 @@ def test_builder_configurations_are_pinned(kind):
 def test_retry_budget_and_exception_are_the_samplers():
     assert theorems.DegenerateAfterRetries is algebra.DegenerateAfterRetries
     assert theorems._RETRIES is algebra._RETRIES == 64
+
+
+def _failing_build(monkeypatch, errors, result=None):
+    """Patches the one-attempt builder to raise ``errors`` in turn, then
+    return ``result``; returns the first draw of each attempt's rng."""
+    attempts, errors = [], iter(errors)
+
+    def attempt(plane, rng, center_on_axis):
+        attempts.append(rng.random())
+        error = next(errors, None)
+        if error is not None:
+            raise error
+        return result
+
+    monkeypatch.setattr(theorems, "_try_build", attempt)
+    return attempts
+
+
+def test_builder_restarts_on_coincident_points_and_lines(monkeypatch):
+    sentinel = object()
+    attempts = _failing_build(
+        monkeypatch, [theorems.EqualPoints("v' repeats v"), theorems.EqualLines("cb = c'b'")],
+        sentinel)
+    assert little_desargues_build(OKUBO_PLANE, seed=4) is sentinel
+    # each attempt draws from its own rng, trial_rng(seed, attempt)
+    assert attempts == [trial_rng(4, k).random() for k in range(3)]
+
+
+def test_builder_gives_up_after_the_retry_budget(monkeypatch):
+    attempts = _failing_build(monkeypatch, repeat(theorems.EqualLines("cb = c'b'")))
+    with pytest.raises(theorems.DegenerateAfterRetries, match="retry budget"):
+        little_desargues_build(OKUBO_PLANE, seed=4)
+    assert len(attempts) == theorems._RETRIES
 
 
 @pytest.mark.parametrize("max_trials", [0, -1])

@@ -190,8 +190,13 @@ def test_constructor_checks_stay():
     (lambda: Shear("okubo", I1), TypeError, "AlgebraKind"),
     (lambda: ChartMap("F", "G", "okubo", OK, TAU, TAU), TypeError, "AlgebraKind"),
     (lambda: ChartMap("F", "G", OK, None, TAU, TAU), TypeError, "AlgebraKind"),
+    (lambda: Plane("okubo"), TypeError, "AlgebraKind"),
+    (lambda: Plane(None), TypeError, "AlgebraKind"),
+    (lambda: Triality(OK, "no"), TypeError, "bool"),
+    (lambda: Triality(OK, 1), TypeError, "bool"),
 ], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind",
-        "translation-string-kind", "shear-string-kind", "chart-string-source", "chart-none-target"])
+        "translation-string-kind", "shear-string-kind", "chart-string-source", "chart-none-target",
+        "plane-string-kind", "plane-none-kind", "triality-string-inverse", "triality-int-inverse"])
 def test_bad_kind_or_shape_fails_when_the_value_is_built(make, error, match):
     with pytest.raises(error, match=match):
         make()
