@@ -31,8 +31,13 @@ coefficient of a column as ``(k, a, b)``, meaning ``(a + b*sqrt3)/D`` times
 ``basis_k`` over one integer denominator ``D`` per map (built by
 :func:`_integer_columns`).  The kernel reads those columns only, so a Gram
 contraction visits the 10 non-zero cells of the Gram matrix, not 64.  A term
-``x_i * y_j * c_ijk`` is then one integer triple and one normalisation, and a
-coordinate is one ``QSqrt3``.
+``x_i * y_j * c_ijk`` is then one integer triple and one normalisation.
+
+A ``Vec8`` stores its coordinates as those canonical integer triples, so the
+kernel reads its operands' triples and hands its result triples to a new
+vector as they are; ``+``, ``-``, negation and ``scale`` work on triples too.
+A ``QSqrt3`` is built only where a coordinate is read: ``v.c``, ``v[k]``,
+iteration, text and JSON, and the one scalar ``polar`` returns.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .scalar import (QS_HALF, QS_ONE, QS_ZERO, Frozen, QSqrt3, _add, _canonical, _raw,
+from .scalar import (QS_HALF, QS_ONE, Frozen, QSqrt3, _add, _canonical, _normal, _raw,
                      parse_list, render)
 
 _gcd, _lcm, _new = math.gcd, math.lcm, object.__new__
@@ -73,15 +79,24 @@ class AlgebraKind(Enum):
 BASIS_NAMES = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
 
 
+# A coordinate as the canonical integer triple (p, q, d) of (p + q*sqrt3)/d.
+_Triple = tuple[int, int, int]
+_ZERO_TRIPLE: _Triple = (0, 0, 1)
+
+
 class Vec8(Frozen):
     """An algebra element as 8 exact coordinates in the basis e, i1..i7.
 
     The constructor takes 8 ``QSqrt3`` values (``ValueError`` for another
-    count, ``TypeError`` for another type); the package's own arithmetic,
-    whose coordinates are ``QSqrt3`` by construction, builds through
-    :func:`_vec` instead.  ``+`` and ``-`` take another ``Vec8`` only."""
+    count, ``TypeError`` for another type).  A vector keeps them as canonical
+    integer triples, the form the product kernel reads and writes, and the
+    package's own arithmetic builds through :func:`_vec` from such triples;
+    a ``QSqrt3`` is built only where a coordinate is read (``c``, ``v[k]``,
+    iteration, text and JSON).  ``+`` and ``-`` take another ``Vec8`` only,
+    ``scale`` a ``QSqrt3`` only."""
 
-    __slots__ = ("c",)
+    __slots__ = ("_triples",)
+    _fields = ("c",)  # pickle, copy and repr go through the coordinates
 
     def __init__(self, coords: Sequence[QSqrt3]) -> None:
         cs = tuple(coords)
@@ -89,7 +104,12 @@ class Vec8(Frozen):
             raise ValueError("Vec8 needs exactly 8 coordinates")
         if not all(isinstance(c, QSqrt3) for c in cs):
             raise TypeError("Vec8 coordinates must be QSqrt3")
-        _set_c(self, cs)
+        _set_triples(self, tuple([(c.p, c.q, c.d) for c in cs]))
+
+    @property
+    def c(self) -> tuple[QSqrt3, ...]:
+        """The 8 coordinates."""
+        return tuple(starmap(_raw, self._triples))
 
     @staticmethod
     def zero() -> Vec8:
@@ -103,34 +123,42 @@ class Vec8(Frozen):
         return self.c[k]
 
     def __iter__(self) -> Iterator[QSqrt3]:
-        return iter(self.c)
+        return starmap(_raw, self._triples)
 
     def __add__(self, other: Vec8) -> Vec8:
         if other.__class__ is not Vec8:
             return NotImplemented
-        return _vec(tuple(a + b for a, b in zip(self.c, other.c)))
+        return _vec(tuple([_add(p1, q1, d1, p2, q2, d2)
+                           for (p1, q1, d1), (p2, q2, d2) in zip(self._triples, other._triples)]))
 
     def __sub__(self, other: Vec8) -> Vec8:
         if other.__class__ is not Vec8:
             return NotImplemented
-        return _vec(tuple(a - b for a, b in zip(self.c, other.c)))
+        return _vec(tuple([_add(p1, q1, d1, -p2, -q2, d2)
+                           for (p1, q1, d1), (p2, q2, d2) in zip(self._triples, other._triples)]))
 
     def __neg__(self) -> Vec8:
-        return _vec(tuple(-a for a in self.c))
+        return _vec(tuple([(-p, -q, d) for p, q, d in self._triples]))
 
     def scale(self, s: QSqrt3) -> Vec8:
-        return _vec(tuple(a * s for a in self.c))
+        """Every coordinate times ``s``, by the product formula of ``QSqrt3``."""
+        if s.__class__ is not QSqrt3:
+            raise TypeError(f"Vec8.scale takes a QSqrt3, not {type(s).__name__}")
+        sp, sq, sd = s.p, s.q, s.d
+        return _vec(tuple([_normal(p * sp + 3 * q * sq, p * sq + q * sp, d * sd)
+                           for p, q, d in self._triples]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vec8):
             return NotImplemented
-        return self.c == other.c
+        return self._triples == other._triples
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        # equal to the hash of the coordinate tuple, as each QSqrt3 hashes its triple
+        return hash(self._triples)
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return self._triples != _ZERO_TRIPLES
 
     def __str__(self) -> str:
         terms = [f"({render(v)})*{name}" for v, name in zip(self.c, BASIS_NAMES) if v]
@@ -147,19 +175,20 @@ class Vec8(Frozen):
         return Vec8(parse_list(data, 8))
 
 
-_set_c = Vec8.c.__set__
+_set_triples = Vec8.__dict__["_triples"].__set__
+_ZERO_TRIPLES = (_ZERO_TRIPLE,) * 8
 
 
-def _vec(cs: tuple[QSqrt3, ...]) -> Vec8:
-    """The vector of a tuple of 8 coordinates that already are ``QSqrt3``."""
+def _vec(triples: tuple[_Triple, ...]) -> Vec8:
+    """The vector of a tuple of 8 canonical coordinate triples."""
     v = _new(Vec8)
-    _set_c(v, cs)
+    _set_triples(v, triples)
     return v
 
 
-_VEC_ZERO = Vec8((QS_ZERO,) * 8)
+_VEC_ZERO = _vec(_ZERO_TRIPLES)
 _VEC_BASIS = tuple(
-    Vec8(tuple(QS_ONE if i == k else QS_ZERO for i in range(8))) for k in range(8)
+    _vec(tuple((1, 0, 1) if i == k else _ZERO_TRIPLE for i in range(8))) for k in range(8)
 )
 
 E = _VEC_BASIS[0]
@@ -174,9 +203,10 @@ def _integer_columns(vectors: Sequence[Vec8]) -> tuple[int, tuple[tuple[int, _In
     """``(D, columns)`` with a pair ``(j, column)`` in ``columns`` for each
     non-zero ``vectors[j]``, its non-zero coordinates as ``(k, a, b)`` over
     ``D``, the lcm of their denominators."""
-    den = _lcm(*(c.d for v in vectors for c in v.c))
+    den = _lcm(*(d for v in vectors for _, _, d in v._triples))
     return den, tuple(
-        (j, tuple((k, c.p * (den // c.d), c.q * (den // c.d)) for k, c in enumerate(v.c) if c))
+        (j, tuple((k, p * (den // d), q * (den // d))
+                  for k, (p, q, d) in enumerate(v._triples) if p or q))
         for j, v in enumerate(vectors) if v
     )
 
@@ -208,24 +238,26 @@ class LinMap8(Frozen):
         return LinMap8(tuple(map(f, BASIS)))
 
     def apply(self, v: Vec8) -> Vec8:
-        return _contract_vec((QS_ONE,), (self,), v)
+        return _vec(_contract(_ONE, (self,), v._triples))
 
     def __matmul__(self, other: LinMap8) -> LinMap8:
         return LinMap8(tuple(map(self.apply, other.images)))
 
 
-def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[tuple[int, int, int]]:
-    """The coordinates of sum_ij x_i y_j maps[i](basis_j) as canonical triples: each
-    term, one integer triple over ``d_x d_y D`` from the non-empty integer columns,
-    is added to its coordinate by ``scalar._add``.  Callers build a ``QSqrt3`` per
-    coordinate read."""
-    out = [(0, 0, 1)] * 8
-    ys = [(c.p, c.q, c.d) for c in y.c]
-    for xi, f in zip(xs, maps):
-        xp, xq = xi.p, xi.q
+_ONE = ((1, 0, 1),)  # the coefficients of a single map
+
+
+def _contract(xs: Sequence[_Triple], maps: Sequence[LinMap8],
+              ys: Sequence[_Triple]) -> tuple[_Triple, ...]:
+    """The coordinates of sum_ij x_i y_j maps[i](basis_j) as canonical triples, for
+    coordinate triples ``xs`` and ``ys``: each term, one integer triple over
+    ``d_x d_y D`` from the non-empty integer columns, is added to its coordinate by
+    ``scalar._add``.  A ``Vec8`` keeps the result as it is."""
+    out = [_ZERO_TRIPLE] * 8
+    for (xp, xq, xd), f in zip(xs, maps):
         if not (xp or xq):
             continue
-        xd = xi.d * f.den
+        xd *= f.den
         for j, column in f.columns:
             yp, yq, yd = ys[j]
             if not (yp or yq):
@@ -234,11 +266,7 @@ def _contract(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> list[tu
             for k, a, b in column:
                 op, oq, od = out[k]
                 out[k] = _add(op, oq, od, a * sp + 3 * b * sq, a * sq + b * sp, sd)
-    return out
-
-
-def _contract_vec(xs: Sequence[QSqrt3], maps: Sequence[LinMap8], y: Vec8) -> Vec8:
-    return _vec(tuple([_raw(p, q, d) for p, q, d in _contract(xs, maps, y)]))
+    return tuple(out)
 
 
 # -- the matrix model over Z[sqrt3, i] ------------------------------------------
@@ -396,12 +424,12 @@ def matrix_polar(x: HermMat3, y: HermMat3) -> QSqrt3:
 
 def vec_to_matrix(v: Vec8) -> HermMat3:
     """sum_k v_k basis_k over the least common denominator."""
-    terms = [(c, m) for c, m in zip(v.c, basis_matrices()) if c]
-    den = _lcm(*(c.d * m.den for c, m in terms))
+    terms = [(p, q, d, m) for (p, q, d), m in zip(v._triples, basis_matrices()) if p or q]
+    den = _lcm(*(d * m.den for _, _, d, m in terms))
     out = [_Z4] * 9
-    for c, m in terms:
-        f = den // (c.d * m.den)
-        s = (c.p * f, c.q * f, 0, 0)
+    for p, q, d, m in terms:
+        f = den // (d * m.den)
+        s = (p * f, q * f, 0, 0)
         for k, u in enumerate(m.entries):
             if u != _Z4:
                 out[k] = tuple(map(int.__add__, out[k], entry_mul(s, u)))
@@ -418,14 +446,14 @@ def matrix_to_vec(m: HermMat3) -> Vec8:
     (a12, b12, c12, d12), (a13, b13, c13, d13), (a23, b23, c23, d23) = e[1], e[2], e[5]
     den3 = 3 * den
     v = _vec((
-        _canonical(a11 + a22, b11 + b22, den),
-        _canonical(3 * b12, a12, den3),
-        _canonical(3 * b13, a13, den3),
-        _canonical(3 * b23, a23, den3),
-        _canonical(-3 * (b11 + 2 * b22), -(a11 + 2 * a22), den3),
-        _canonical(-3 * d12, -c12, den3),
-        _canonical(-3 * d13, -c13, den3),
-        _canonical(-3 * d23, -c23, den3),
+        _normal(a11 + a22, b11 + b22, den),
+        _normal(3 * b12, a12, den3),
+        _normal(3 * b13, a13, den3),
+        _normal(3 * b23, a23, den3),
+        _normal(-3 * (b11 + 2 * b22), -(a11 + 2 * a22), den3),
+        _normal(-3 * d12, -c12, den3),
+        _normal(-3 * d13, -c13, den3),
+        _normal(-3 * d23, -c23, den3),
     ))
     if vec_to_matrix(v) != m:
         raise BasisDecompositionFailure("matrix is outside the basis span")
@@ -483,19 +511,19 @@ def structure_table(kind: AlgebraKind) -> StructureTable:
     elif kind is AlgebraKind.OCTONION:
         # Kaplansky product x.y = (e*x)*(y*e), bilinear, so basis level suffices
         ok = structure_table(AlgebraKind.OKUBO).rows
-        left = [_contract_vec(E.c, ok, b) for b in BASIS]
-        right = [_contract_vec(b.c, ok, E) for b in BASIS]
-        products = [[_contract_vec(x.c, ok, y) for y in right] for x in left]
+        left = [_contract(E._triples, ok, b._triples) for b in BASIS]
+        right = [_contract(b._triples, ok, E._triples) for b in BASIS]
+        products = [[_vec(_contract(x, ok, y)) for y in right] for x in left]
     else:
         oct_rows = structure_table(AlgebraKind.OCTONION).rows
-        cb = CONJ.images
-        products = [[_contract_vec(x.c, oct_rows, y) for y in cb] for x in cb]
+        cb = [v._triples for v in CONJ.images]
+        products = [[_vec(_contract(x, oct_rows, y)) for y in cb] for x in cb]
     return StructureTable(kind, tuple(tuple(row) for row in products))
 
 
 def mul(kind: AlgebraKind, x: Vec8, y: Vec8) -> Vec8:
     """Bilinear product of the selected algebra, exact."""
-    return _contract_vec(x.c, structure_table(kind).rows, y)
+    return _vec(_contract(x._triples, structure_table(kind).rows, y._triples))
 
 
 class GramMatrix(Frozen):
@@ -513,9 +541,9 @@ class GramMatrix(Frozen):
         if not all(isinstance(gij, QSqrt3) for row in _square(g, "a Gram matrix") for gij in row):
             raise TypeError("GramMatrix entries must be QSqrt3")
         Frozen.__init__(self, g)
-        zeros = (QS_ZERO,) * 7
+        zeros = _ZERO_TRIPLES[1:]
         object.__setattr__(self, "rows", tuple(
-            LinMap8(tuple(_vec((gij, *zeros)) for gij in row)) for row in g
+            LinMap8(tuple(_vec(((gij.p, gij.q, gij.d), *zeros)) for gij in row)) for row in g
         ))
 
     def leading_minors(self) -> list[QSqrt3]:
@@ -556,7 +584,7 @@ def norm(x: Vec8) -> QSqrt3:
 
 def polar(x: Vec8, y: Vec8) -> QSqrt3:
     """<x,y> = n(x+y) - n(x) - n(y) = sum_ij g_ij x_i y_j."""
-    return _raw(*_contract(x.c, gram().rows, y)[0])
+    return _raw(*_contract(x._triples, gram().rows, y._triples)[0])
 
 
 IDENTITY = LinMap8(BASIS)
@@ -688,16 +716,16 @@ def product_conversion_crosscheck(x: Vec8, y: Vec8) -> bool:
     )
 
 
-# The values random_scalar draws: _DRAWS[num + 3][den - 1] = (num/den, num/den*sqrt3).
+# The triples random_scalar draws: _DRAWS[num + 3][den - 1] = (num/den, num/den*sqrt3).
 _DRAWS = tuple(
-    tuple((QSqrt3.of(num, den), QSqrt3.of(num, den, sqrt3=True)) for den in (1, 2))
+    tuple((_normal(num, 0, den), _normal(0, num, den)) for den in (1, 2))
     for num in range(-3, 4)
 )
 _SEVEN_OR_MORE, _TWO_OR_MORE = (7).__le__, (2).__le__
 
 
-def _scalars(rng: random.Random, count: int) -> list[QSqrt3]:
-    """``count`` scalars, each drawn with the rng calls of
+def _scalars(rng: random.Random, count: int) -> list[_Triple]:
+    """``count`` scalar triples, each drawn with the rng calls of
     ``rng.choice(rng.choice(_DRAWS))`` and then ``rng.random() < 0.25``.  A
     ``choice`` of 7 or 2 items is CPython's ``_randbelow``: ``getrandbits(3)``
     drawn again while it reads 7, ``getrandbits(2)`` while it reads 2 or 3.
@@ -722,11 +750,11 @@ def random_scalar(rng: random.Random) -> QSqrt3:
     Makes the rng calls of ``randint(-3, 3)``, ``choice((1, 2))`` and
     ``random() < 0.25``, so the stream is that of drawing ``num``, ``den``
     and the sqrt3 flag."""
-    return _scalars(rng, 1)[0]
+    return _raw(*_scalars(rng, 1)[0])
 
 
 def random_vec(rng: random.Random) -> Vec8:
-    """Eight ``random_scalar`` draws in one loop."""
+    """Eight ``random_scalar`` draws in one loop, kept as triples."""
     return _vec(tuple(_scalars(rng, 8)))
 
 

@@ -64,7 +64,8 @@ class WrongElement(TypeError):
 
 
 class PjElement(Frozen):
-    """A point or line of the projective plane.  A concrete type declares its
+    """A point or line of the projective plane, whose fields are ``Vec8``
+    coordinates (``TypeError`` otherwise).  A concrete type declares its
     JSON tag ``_tag`` and, when they differ from its fields, the JSON keys
     ``_keys``; each family keeps the tag table ``_types`` and encloses the
     text form (the fields, or ``inf`` when there are none) in ``_brackets``."""
@@ -76,6 +77,12 @@ class PjElement(Frozen):
         if "_tag" in cls.__dict__:
             cls._keys = cls.__dict__.get("_keys", cls._fields)
             cls._types[cls._tag] = cls
+
+    def __init__(self, *args: Vec8, **kwargs: Vec8) -> None:
+        Frozen.__init__(self, *args, **kwargs)
+        for v in self._values(self):
+            if not isinstance(v, Vec8):
+                raise TypeError(f"{type(self).__name__} coordinates must be Vec8, not {v!r}")
 
     def to_json(self) -> dict:
         return {"t": self._tag, **{k: v.to_json() for k, v in zip(self._keys, self._values(self))}}

@@ -8,7 +8,8 @@ recorded and *absence* of one within budget is logged as a failure).  Either
 way the invariant is the same: verdict is "pass" iff ``failures`` is empty.
 A ``PostconditionViolation`` raised while the outcomes are drawn ends the
 report with that error as a failure, never as a witness.
-The rows ``Check``, ``Scan`` and ``Build`` each make one report.
+The rows ``Check``, ``Scan`` and ``Build`` each make one report.  They are
+plain slotted classes, so defining them generates and compiles no code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import AlgebraKind, trial_rng
 from .plane import PostconditionViolation
@@ -113,17 +114,21 @@ def outcome_report(
     )
 
 
-class Check(NamedTuple):
+class Check:
     """A sampled row.  ``check(arg, rng)`` returns a failure, or a witness
     when ``missing`` is set (expect-witness: it says what finding none means).
     ``budget`` turns the --trials value into the row's trial count, which
     must be at least one: a report that checked nothing cannot fail."""
 
-    name: str
-    kinds: tuple[AlgebraKind, ...]
-    check: Callable[[object, random.Random], Optional[dict]]
-    budget: Callable[[int], int] = lambda trials: trials
-    missing: Optional[str] = None
+    __slots__ = ("name", "kinds", "check", "budget", "missing")
+
+    def __init__(
+        self, name: str, kinds: tuple[AlgebraKind, ...],
+        check: Callable[[object, random.Random], Optional[dict]],
+        budget: Callable[[int], int] = lambda trials: trials, missing: Optional[str] = None,
+    ) -> None:
+        self.name, self.kinds, self.check, self.budget, self.missing = (
+            name, kinds, check, budget, missing)
 
     def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
         return (self.check(arg, trial_rng(seed, i)) for i in range(n))
@@ -141,16 +146,21 @@ class Scan(Check):
     basis scan, or a search that derives its own seeds.  ``check`` is a
     generator function, so nothing runs before the report draws the stream."""
 
+    __slots__ = ()
+
     def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
         return self.check(arg, n, seed)
 
 
-class Build(NamedTuple):
+class Build:
     """A row whose report ``build(arg, trials, seed)`` makes whole, apart
     from its ``elapsed_ms``."""
 
-    kinds: tuple[AlgebraKind, ...]
-    build: Callable[[object, int, int], TheoremReport]
+    __slots__ = ("kinds", "build")
+
+    def __init__(self, kinds: tuple[AlgebraKind, ...],
+                 build: Callable[[object, int, int], TheoremReport]) -> None:
+        self.kinds, self.build = kinds, build
 
     def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
         return _stopwatch(lambda: self.build(arg, trials, seed))

@@ -11,9 +11,11 @@ Internally a value is stored as one integer triple ``(p + q*sqrt3)/d`` with
 divide coordinates, so arbitrary-precision integers are mandatory and the
 single shared denominator keeps the gcd work per operation minimal (none
 at all when the denominator is 1).  Every value, ``QSqrt3(a, b)`` included,
-is built by one normaliser, ``_canonical``, which writes the slots through
-``_raw``, and every sum by one adder, ``_add``, which sums two integer triples
-to a reduced one: ``+``, ``-`` and every product-kernel term go through it.
+is brought to canonical form by one normaliser, ``_normal``, which returns
+the integer triple; ``_canonical`` writes that triple into a value through
+``_raw``.  Every sum is made by one adder, ``_add``, which sums two integer
+triples to a reduced one: ``+``, ``-``, every product-kernel term and every
+vector coordinate sum go through it.
 """
 
 from __future__ import annotations
@@ -221,23 +223,27 @@ _set_q = QSqrt3.q.__set__
 _set_d = QSqrt3.d.__set__
 
 
-def _canonical(p: int, q: int, d: int) -> QSqrt3:
-    """The value ``(p + q*sqrt3)/d`` for ``d != 0``, brought to ``d > 0`` and
-    ``gcd(p, q, d) == 1``; a ``d == 1`` triple already is canonical."""
+def _normal(p: int, q: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of ``(p + q*sqrt3)/d`` for ``d != 0``: ``d > 0``
+    and ``gcd(p, q, d) == 1``; a ``d == 1`` triple already is canonical.  The
+    one normaliser."""
     if d != 1:
         if d < 0:
             p, q, d = -p, -q, -d
         g = _gcd(p, q, d)
         if g > 1:
-            p //= g
-            q //= g
-            d //= g
-    return _raw(p, q, d)
+            return p // g, q // g, d // g
+    return p, q, d
+
+
+def _canonical(p: int, q: int, d: int) -> QSqrt3:
+    """The value ``(p + q*sqrt3)/d`` for ``d != 0``, in canonical form."""
+    return _raw(*_normal(p, q, d))
 
 
 def _add(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> tuple[int, int, int]:
     """The triple ``(p1 + q1*sqrt3)/d1 + (p2 + q2*sqrt3)/d2`` over its gcd, the
-    one sum; canonical when ``d1, d2 > 0``, as only ``_canonical`` fixes a sign."""
+    one sum; canonical when ``d1, d2 > 0``, as only ``_normal`` fixes a sign."""
     if d1 == d2:
         p, q, d = p1 + p2, q1 + q2, d1
     else:

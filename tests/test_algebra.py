@@ -55,7 +55,7 @@ from okuboplane.algebra import (
     trivolution_table_report,
     vec_to_matrix,
 )
-from okuboplane import algebra
+from okuboplane import algebra, scalar
 from okuboplane.scalar import QS_ONE, QS_ZERO, QSqrt3
 
 OK = AlgebraKind.OKUBO
@@ -583,10 +583,11 @@ def test_draw_table_holds_the_canonical_values():
     assert len(_DRAWS) == 7 and all(len(row) == 2 for row in _DRAWS)
     for num in range(-3, 4):
         for den in (1, 2):
-            for sqrt3, value in enumerate(_DRAWS[num + 3][den - 1]):
-                assert value == QSqrt3.of(num, den, sqrt3=bool(sqrt3))
-                assert type(value) is QSqrt3 and value.d > 0
-                assert math.gcd(value.p, value.q, value.d) == 1
+            for sqrt3, triple in enumerate(_DRAWS[num + 3][den - 1]):
+                value = QSqrt3.of(num, den, sqrt3=bool(sqrt3))
+                assert triple == (value.p, value.q, value.d)  # canonical: d > 0, gcd 1
+                assert type(triple) is tuple and value.d > 0
+                assert math.gcd(*triple) == 1
 
 
 def _three_call_scalar(rng):
@@ -720,3 +721,43 @@ def test_a_kind_that_is_not_an_algebra_kind_raises(kind):
         mul(kind, i1, i2)
     with pytest.raises(TypeError, match="AlgebraKind"):
         left_quotient(kind, i1, i2)
+
+
+def _count_raw(monkeypatch) -> list[int]:
+    """Counts every ``QSqrt3`` built from here on, through ``scalar._raw``
+    and through the name ``algebra`` binds it to."""
+    count, build = [0], scalar._raw
+
+    def counted(p, q, d):
+        count[0] += 1
+        return build(p, q, d)
+
+    monkeypatch.setattr(scalar, "_raw", counted)
+    monkeypatch.setattr(algebra, "_raw", counted)
+    return count
+
+
+def test_vector_arithmetic_builds_no_scalar(monkeypatch):
+    rng = trial_rng(0, 23)
+    x, y, s = random_vec(rng), random_vec(rng), random_scalar(rng) + QS_ONE
+    products = [mul(kind, x, y) for kind in AlgebraKind]  # tables and Gram derived here
+    polar(x, y)
+    count = _count_raw(monkeypatch)
+    for kind, expected in zip(AlgebraKind, products):
+        assert mul(kind, x, y) == expected
+    for v in (TAU.apply(x), CONJ.apply(y), x + y, x - y, -x, x.scale(s)):
+        assert v != ZERO
+    assert count == [0]
+    polar(x, y)
+    assert count == [1]
+
+
+def test_kernel_built_vectors_read_the_same_through_every_view():
+    rng = trial_rng(0, 24)
+    for _ in range(10):
+        x, y = random_vec(rng), random_vec(rng)
+        for v in (mul(AlgebraKind.OKUBO, x, y), TAU.apply(x), x - y, x.scale(norm(y))):
+            rebuilt = Vec8(v.c)
+            assert rebuilt == v and hash(rebuilt) == hash(v) == hash(v.c)
+            assert list(v) == list(v.c) == [v[k] for k in range(8)]
+            assert v[2:5] == v.c[2:5] and all(type(c) is QSqrt3 for c in v)

@@ -368,7 +368,7 @@ def test_linear_maps_match_their_formulas(x):
     assert TAU2.apply(x) == mul(ok, mul(ok, x, E), E)
 
 
-# the kernel hands its own sums to _raw, which trusts them to be canonical
+# the kernel hands its own sums to a vector, which trusts them to be canonical
 @given(x=vectors, y=vectors, f=maps)
 def test_kernel_results_are_canonical(x, y, f):
     for kind in KINDS:

@@ -194,9 +194,16 @@ def test_constructor_checks_stay():
     (lambda: Plane(None), TypeError, "AlgebraKind"),
     (lambda: Triality(OK, "no"), TypeError, "bool"),
     (lambda: Triality(OK, 1), TypeError, "bool"),
+    (lambda: AffinePoint(1, 2), TypeError, "Vec8"),
+    (lambda: AffinePoint(E, y=E.c), TypeError, "Vec8"),
+    (lambda: SlopePoint("x"), TypeError, "Vec8"),
+    (lambda: FiniteLine(E, None), TypeError, "Vec8"),
+    (lambda: VerticalLine(1), TypeError, "Vec8"),
 ], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind",
         "translation-string-kind", "shear-string-kind", "chart-string-source", "chart-none-target",
-        "plane-string-kind", "plane-none-kind", "triality-string-inverse", "triality-int-inverse"])
+        "plane-string-kind", "plane-none-kind", "triality-string-inverse", "triality-int-inverse",
+        "affine-int-coordinates", "affine-tuple-coordinate", "slope-string", "line-none-offset",
+        "vertical-int"])
 def test_bad_kind_or_shape_fails_when_the_value_is_built(make, error, match):
     with pytest.raises(error, match=match):
         make()
@@ -227,3 +234,41 @@ def test_import_loads_no_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"]
+
+
+_WRAPPED_IMPORT = """
+import builtins, decimal, types
+# decimal (imported by fractions) builds its DecimalTuple with namedtuple; that
+# is the standard library's generated code, not the package's
+sources = []
+
+
+def wrap(name):
+    original = getattr(builtins, name)
+
+    def wrapper(source, *args, **kwargs):
+        if not (isinstance(source, types.CodeType) and source.co_name == "<module>"):
+            sources.append(f"{name}: {str(source)[:60]!r}")
+        return original(source, *args, **kwargs)
+
+    return wrapper
+
+
+for name in ("eval", "exec", "compile"):
+    setattr(builtins, name, wrap(name))
+import okuboplane.cli
+print("\\n".join(sources) or "none")
+"""
+
+
+def test_import_compiles_no_source_text(tmp_path):
+    # the first run fills a private bytecode cache, so that the second one
+    # imports every module from its cached code object
+    src = str(Path(okuboplane.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=src, PYTHONPYCACHEPREFIX=str(tmp_path))
+    for _ in range(2):
+        result = subprocess.run([sys.executable, "-c", _WRAPPED_IMPORT], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "none"
