@@ -4,8 +4,12 @@ Little Desargues configurations are built by the eight-step procedure (pick
 axis and center, grow two perspective triangles through joins and meets) and
 verified by checking that the last intersection point lands on the axis; the
 same construction with the center off the axis searches for an exact
-counterexample to the full Desargues theorem.  The planar ternary ring of the
-Okubo plane, and the basis pair showing it is not linear, close the module.
+counterexample to the full Desargues theorem.  A built configuration carries
+the seven sides its build joined (a o, b o, c o, a b, a c, c b and c' b'), and
+the checks read them there, so each side is joined once; only a' b' and a' c',
+which the build never makes, are joined by the checks.  The planar ternary
+ring of the Okubo plane, and the basis pair showing it is not linear, close
+the module.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .plane import (
     FiniteLine,
     OCTONION_PLANE,
     OKUBO_PLANE,
+    PjLine,
     PjPoint,
     Plane,
     line_from_json,
@@ -38,20 +43,30 @@ class DegenerateConfig(ValueError):
 class DesarguesConfig(Frozen):
     """Two triangles a b c and a' b' c' perspective from ``center``, with the
     side intersections l2, l3 already placed on ``axis`` by construction
-    and, optionally, the deciding intersection l1."""
+    and, optionally, the deciding intersection l1.
 
-    __slots__ = ("center", "axis", "a", "b", "c", "a1", "b1", "c1", "l2", "l3", "l1")
+    A built configuration also carries the sides its build joined, with the
+    kind of their plane, in the derived slot ``_lines``; it is not a field, so
+    equality, hash, JSON and pickle ignore it, and any other configuration
+    carries ``None``."""
+
+    __slots__ = ("center", "axis", "a", "b", "c", "a1", "b1", "c1", "l2", "l3", "l1", "_lines")
+    _fields = __slots__[:-1]  # _lines is derived: the sides the build joined
     _optional = ("l1",)
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        Frozen.__init__(self, *args, **kwargs)
+        object.__setattr__(self, "_lines", None)
+
     def to_json(self) -> dict:
-        values = zip(self.__slots__, self._values(self))
+        values = zip(self._fields, self._values(self))
         return {name: v.to_json() for name, v in values if v is not None}
 
     @staticmethod
     def from_json(data: dict) -> DesarguesConfig:
         """Inverse of to_json; ``axis`` is the one line, l1 may be absent.
         Any other missing key, or an unknown one, raises ``ValueError``."""
-        names = set(DesarguesConfig.__slots__)
+        names = set(DesarguesConfig._fields)
         if not (isinstance(data, dict) and names - {"l1"} <= data.keys() <= names):
             got = sorted(data) if isinstance(data, dict) else data
             raise ValueError(f"expected the keys {sorted(names)}, l1 optional, not {got!r}")
@@ -59,6 +74,21 @@ class DesarguesConfig(Frozen):
             name: (line_from_json if name == "axis" else point_from_json)(value)
             for name, value in data.items()
         })
+
+
+def _carrying(cfg: DesarguesConfig, lines: tuple) -> DesarguesConfig:
+    """``cfg`` with ``lines``, a pair (kind, {(p, q): the line p q}), in ``_lines``."""
+    object.__setattr__(cfg, "_lines", lines)
+    return cfg
+
+
+def _side(plane: Plane, cfg: DesarguesConfig, p: str, q: str) -> PjLine:
+    """The line through the points of ``cfg`` named ``p`` and ``q``: the one the
+    build joined, when ``cfg`` carries the lines of this plane, else a new join."""
+    carried = cfg._lines
+    if carried is not None and carried[0] is plane.kind and (p, q) in carried[1]:
+        return carried[1][p, q]
+    return plane.join(getattr(cfg, p), getattr(cfg, q))
 
 
 def _build_config(plane: Plane, seed: int, center_on_axis: bool) -> DesarguesConfig:
@@ -99,11 +129,16 @@ def _try_build(plane: Plane, rng: random.Random, center_on_axis: bool) -> Desarg
         return v, v1, l, side, ray
 
     b, b1, l3, line_ab, line_bp = vertex((axis, line_ap), a1)
-    c, c1, l2, _, _ = vertex((axis, line_ap, line_bp, line_ab), b1, a1)
+    c, c1, l2, line_ac, line_cp = vertex((axis, line_ap, line_bp, line_ab), b1, a1)
 
-    if plane.join(c, b) == plane.join(c1, b1):
+    line_cb, line_cb1 = plane.join(c, b), plane.join(c1, b1)
+    if line_cb == line_cb1:
         raise EqualLines("the sides cb and c'b' coincide")
-    return DesarguesConfig(center, axis, a, b, c, a1, b1, c1, l2, l3)
+    lines = {("a", "center"): line_ap, ("b", "center"): line_bp, ("c", "center"): line_cp,
+             ("a", "b"): line_ab, ("a", "c"): line_ac, ("c", "b"): line_cb,
+             ("c1", "b1"): line_cb1}
+    cfg = DesarguesConfig(center, axis, a, b, c, a1, b1, c1, l2, l3)
+    return _carrying(cfg, (plane.kind, lines))
 
 
 def little_desargues_build(plane: Plane, seed: int) -> DesarguesConfig:
@@ -114,7 +149,7 @@ def little_desargues_build(plane: Plane, seed: int) -> DesarguesConfig:
 def desargues_l1(plane: Plane, cfg: DesarguesConfig) -> PjPoint:
     """The intersection of side cb with side c'b'."""
     try:
-        return plane.meet(plane.join(cfg.c, cfg.b), plane.join(cfg.c1, cfg.b1))
+        return plane.meet(_side(plane, cfg, "c", "b"), _side(plane, cfg, "c1", "b1"))
     except (EqualPoints, EqualLines) as exc:
         raise DegenerateConfig(str(exc)) from exc
 
@@ -138,26 +173,33 @@ def desargues_falsify(plane: Plane, seed: int, max_trials: int) -> Optional[Desa
         raise ValueError(f"desargues_falsify needs at least one trial, not {max_trials}")
     for trial in range(max_trials):
         cfg = _build_config(plane, config_seed(seed, trial), center_on_axis=False)
-        l1 = desargues_l1(plane, cfg)  # the build made c != b, c' != b' and cb != c'b'
+        # one call per configuration tested; it meets the sides cb and c'b' that the
+        # build joined, after checking c != b, c' != b' and cb != c'b'
+        l1 = desargues_l1(plane, cfg)
         if not plane.incident(l1, cfg.axis):
-            return DesarguesConfig(*cfg._values(cfg)[:-1], l1)
+            return _carrying(DesarguesConfig(*cfg._values(cfg)[:-1], l1), cfg._lines)
     return None
 
 
 def config_incidences(plane: Plane, cfg: DesarguesConfig) -> list[str]:
-    """Names of violated construction incidences (empty for a sound config)."""
+    """Names of violated construction incidences (empty for a sound config).
+    Each side is the build's line when ``cfg`` carries the lines of ``plane``;
+    a'b' and a'c', which the build never joins, are always joined here."""
     on = plane.incident
-    j = plane.join
+
+    def j(p: str, q: str) -> PjLine:
+        return _side(plane, cfg, p, q)
+
     checks = {
-        "a1 on join(a, center)": on(cfg.a1, j(cfg.a, cfg.center)),
-        "b1 on join(b, center)": on(cfg.b1, j(cfg.b, cfg.center)),
-        "c1 on join(c, center)": on(cfg.c1, j(cfg.c, cfg.center)),
+        "a1 on join(a, center)": on(cfg.a1, j("a", "center")),
+        "b1 on join(b, center)": on(cfg.b1, j("b", "center")),
+        "c1 on join(c, center)": on(cfg.c1, j("c", "center")),
         "l3 on axis": on(cfg.l3, cfg.axis),
-        "l3 on join(a, b)": on(cfg.l3, j(cfg.a, cfg.b)),
-        "l3 on join(a1, b1)": on(cfg.l3, j(cfg.a1, cfg.b1)),
+        "l3 on join(a, b)": on(cfg.l3, j("a", "b")),
+        "l3 on join(a1, b1)": on(cfg.l3, j("a1", "b1")),
         "l2 on axis": on(cfg.l2, cfg.axis),
-        "l2 on join(a, c)": on(cfg.l2, j(cfg.a, cfg.c)),
-        "l2 on join(a1, c1)": on(cfg.l2, j(cfg.a1, cfg.c1)),
+        "l2 on join(a, c)": on(cfg.l2, j("a", "c")),
+        "l2 on join(a1, c1)": on(cfg.l2, j("a1", "c1")),
     }
     return [name for name, ok in checks.items() if not ok]
 

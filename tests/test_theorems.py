@@ -1,5 +1,9 @@
+import copy
 import hashlib
 import json
+import pickle
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
@@ -12,6 +16,7 @@ from okuboplane.plane import (
     PLANES,
     AffinePoint,
     FiniteLine,
+    Plane,
 )
 from okuboplane.scalar import QSqrt3
 from okuboplane.suites import (
@@ -20,6 +25,7 @@ from okuboplane.suites import (
     MOUFANG_FAILS,
     MOUFANG_HOLDS,
     PTR_ROWS,
+    suite_desargues,
 )
 from okuboplane import algebra, theorems
 from okuboplane.theorems import (
@@ -191,6 +197,102 @@ def test_builds_are_seed_deterministic():
     a = little_desargues_build(OKUBO_PLANE, seed=5)
     b = little_desargues_build(OKUBO_PLANE, seed=5)
     assert a == b
+
+
+# -- the sides a configuration carries ------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_side_is_joined_twice(monkeypatch, seed):
+    joins, join = [], Plane.join
+
+    def recording(self, p, q):
+        joins.append((self.kind, p, q))
+        return join(self, p, q)
+
+    monkeypatch.setattr(Plane, "join", recording)
+    suite_desargues("all", 1, seed)
+    repeated = sum(n - 1 for n in Counter(joins).values())
+    assert joins and not repeated, f"{repeated} of {len(joins)} joins repeat an earlier one"
+
+
+def _count_everywhere(monkeypatch, fn, counts, falsifying):
+    """Rebinds ``fn`` under every name an okuboplane module gives it, as the
+    benchmark's span tracer does, to a shim that counts its calls, and those
+    made while ``desargues_falsify`` runs."""
+    def shim(*args, **kwargs):
+        counts[fn.__name__] += 1
+        counts[fn.__name__, "falsify"] += bool(falsifying)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "okuboplane" or name.startswith("okuboplane."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, shim)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tracer_seams_see_one_call_per_configuration(monkeypatch, seed):
+    counts, falsifying, trials = Counter(), [], 3
+    for fn in (little_desargues_build, config_incidences, little_desargues_verify,
+               desargues_l1):
+        _count_everywhere(monkeypatch, fn, counts, falsifying)
+    falsify, build = theorems.desargues_falsify, theorems._build_config
+
+    def falsify_shim(*args):
+        falsifying.append(True)
+        try:
+            return falsify(*args)
+        finally:
+            falsifying.pop()
+
+    def build_shim(plane, seed, center_on_axis):
+        counts["tested by falsify"] += not center_on_axis
+        return build(plane, seed, center_on_axis)
+
+    monkeypatch.setattr(theorems, "desargues_falsify", falsify_shim)
+    monkeypatch.setattr(theorems, "_build_config", build_shim)
+    suite_desargues("all", trials, seed)
+    little = trials * len(AlgebraKind)
+    assert counts["little_desargues_build"] == little
+    assert counts["config_incidences"] == little
+    assert counts["little_desargues_verify"] == little
+    assert counts["tested by falsify"] >= len(AlgebraKind)
+    assert counts["desargues_l1", "falsify"] == counts["tested by falsify"]
+    # outside the search, l1 is met once per little configuration, by its verify
+    assert counts["desargues_l1"] - counts["desargues_l1", "falsify"] == little
+
+
+def _checked(plane, cfg):
+    """What the checks say of ``cfg`` in ``plane``: its broken incidences, then
+    l1 or the degeneracy that stops it."""
+    try:
+        l1 = desargues_l1(plane, cfg)
+    except DegenerateConfig as exc:
+        l1 = str(exc)
+    return config_incidences(plane, cfg), l1
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_carried_lines_change_no_result_and_no_value(kind):
+    plane = PLANES[kind]
+    for seed in range(6):
+        witness = desargues_falsify(plane, seed, 10)
+        assert witness is not None
+        for cfg in (little_desargues_build(plane, seed), witness):
+            carried, lines = cfg._lines
+            assert carried is kind and len(lines) == 7
+            for (p, q), line in lines.items():
+                assert line == plane.join(getattr(cfg, p), getattr(cfg, q))
+            replayed = DesarguesConfig.from_json(cfg.to_json())
+            assert replayed._lines is None
+            assert replayed == cfg and hash(replayed) == hash(cfg)
+            for copied in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+                assert copied == cfg and copied._lines is None
+            assert not config_incidences(plane, cfg)
+            assert cfg.l1 in (None, desargues_l1(plane, cfg))
+            for other in PLANES.values():  # lines of another plane are never read
+                assert _checked(other, cfg) == _checked(other, replayed)
 
 
 # -- planar ternary ring -----------------------------------------------------------
