@@ -678,6 +678,30 @@ def solve_right(kind: AlgebraKind, a: Vec8, b: Vec8) -> Vec8:
     return right_quotient(kind, a, b).scale(norm(a).inv())
 
 
+def quotient_identity_failures(kind: AlgebraKind) -> Iterator[tuple[str, int, int, int]]:
+    """``(side, i, k, j)`` for each basis triple (a, c, b) = (basis_i, basis_k,
+    basis_j) at which a polarised quotient identity fails, ``side`` naming it:
+
+        "left":  a o L(c, b) + c o L(a, b) = <a, c> b,
+        "right": R(a, b) o c + R(c, b) o a = <a, c> b.
+
+    Both sides are trilinear in (a, c, b), so an empty result proves each for
+    all elements; at c = a they read a o L(a, b) = n(a) b = R(a, b) o a, so
+    ``solve_left`` and ``solve_right`` are then exact for every a != 0."""
+    kind = algebra_kind(kind)
+    lq = [[left_quotient(kind, a, b) for b in BASIS] for a in BASIS]
+    rq = [[right_quotient(kind, a, b) for b in BASIS] for a in BASIS]
+    g = gram().g
+    for i, a in enumerate(BASIS):
+        for k, c in enumerate(BASIS):
+            for j, b in enumerate(BASIS):
+                want = b.scale(g[i][k])
+                if mul(kind, a, lq[k][j]) + mul(kind, c, lq[i][j]) != want:
+                    yield "left", i, k, j
+                if mul(kind, rq[i][j], c) + mul(kind, rq[k][j], a) != want:
+                    yield "right", i, k, j
+
+
 # name -> law(m, x, y, z), with m the product of the kind under test
 _IDENTITIES = {
     "Moufang1": lambda m, x, y, z: m(m(m(x, y), x), z) == m(x, m(y, m(x, z))),

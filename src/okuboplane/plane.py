@@ -217,11 +217,18 @@ class Plane(Frozen):
     # -- join / meet -------------------------------------------------------
 
     def join(self, p: PjPoint, q: PjPoint) -> PjLine:
-        """The unique line through two distinct points (verified on exit)."""
+        """The unique line through two distinct points, verified on exit at
+        the point the formula does not pass through by construction.
+
+        ``_join`` builds its line through the affine point it is given first,
+        t = p.y - s o p.x, so that point lies on it by exact arithmetic
+        ((p.y - m) + m = p.y).  The other point is checked: through two affine
+        points that tests the slope ``solve_right`` returned; in every other
+        case it compares slopes or x only."""
         if p == q:
             raise EqualPoints(f"join of equal points {p}")
         out = self._join(p, q)
-        if not (self.incident(p, out) and self.incident(q, out)):
+        if not self.incident(q if isinstance(p, AffinePoint) else p, out):
             raise PostconditionViolation(f"join of {p} and {q} gave {out}")
         return out
 
@@ -240,11 +247,18 @@ class Plane(Frozen):
         return LINE_AT_INFINITY
 
     def meet(self, l: PjLine, m: PjLine) -> PjPoint:
-        """The unique common point of two distinct lines (verified on exit)."""
+        """The unique common point of two distinct lines, verified on exit on
+        the line the formula does not put it on by construction.
+
+        ``_meet`` builds its point on the finite line it is given first,
+        y = l.s o x + l.t, so that line holds it by exact arithmetic.  The
+        other line is checked: for two finite lines that tests the x
+        ``solve_left`` returned; in every other case it compares slopes or x
+        only."""
         if l == m:
             raise EqualLines(f"meet of equal lines {l}")
         out = self._meet(l, m)
-        if not (self.incident(out, l) and self.incident(out, m)):
+        if not self.incident(out, m if isinstance(l, FiniteLine) else l):
             raise PostconditionViolation(f"meet of {l} and {m} gave {out}")
         return out
 

@@ -48,6 +48,7 @@ from okuboplane.algebra import (
     solve_right,
     structure_table,
     product_conversion_crosscheck,
+    quotient_identity_failures,
     trial_rng,
     trivolution,
     trivolution_basis_images,
@@ -496,6 +497,22 @@ def test_solve_zero_divisor_raises():
         solve_right(OC, ZERO, E)
 
 
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda k: k.value)
+def test_quotient_identities_hold_on_every_basis_triple(kind):
+    # a o L(a, b) = n(a) b = R(a, b) o a for all a, b: solve_left/solve_right are exact
+    assert list(quotient_identity_failures(kind)) == []
+
+
+@pytest.mark.parametrize("side, name", [("left", "left_quotient"), ("right", "right_quotient")])
+def test_quotient_identity_failures_catch_the_octonion_quotient_in_the_okubo_slot(
+        monkeypatch, side, name):
+    octonion = getattr(algebra, name)
+    monkeypatch.setattr(algebra, name, lambda kind, a, b: octonion(OC, a, b))
+    failures = list(quotient_identity_failures(OK))
+    assert len(failures) == 416
+    assert {f[0] for f in failures} == {side}
+
+
 # -- identities -----------------------------------------------------------------
 
 def test_flexibility_everywhere():
@@ -721,6 +738,8 @@ def test_a_kind_that_is_not_an_algebra_kind_raises(kind):
         mul(kind, i1, i2)
     with pytest.raises(TypeError, match="AlgebraKind"):
         left_quotient(kind, i1, i2)
+    with pytest.raises(TypeError, match="AlgebraKind"):
+        list(quotient_identity_failures(kind))
 
 
 def _count_raw(monkeypatch) -> list[int]:

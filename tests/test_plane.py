@@ -9,7 +9,8 @@ import pytest
 import okuboplane
 
 from okuboplane.algebra import (
-    AlgebraKind, DegenerateAfterRetries, E, Vec8, mul, norm, trial_rng, random_vec,
+    AlgebraKind, DegenerateAfterRetries, E, Vec8, mul, norm, trial_rng, random_vec, solve_left,
+    solve_right,
 )
 from okuboplane.plane import (
     INFINITY_POINT,
@@ -97,6 +98,52 @@ def test_postconditions_survive_python_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["debug", "False", "raised"]
+
+
+def test_meet_postcondition_survives_python_optimize():
+    code = (
+        "from okuboplane.algebra import E, Vec8\n"
+        "from okuboplane.plane import INFINITY_POINT, OKUBO_PLANE, FiniteLine, Plane,"
+        " PostconditionViolation\n"
+        "Plane._meet = lambda self, l, m: INFINITY_POINT\n"
+        "zero = Vec8.zero()\n"
+        "try:\n"
+        "    OKUBO_PLANE.meet(FiniteLine(zero, zero), FiniteLine(E, zero))\n"
+        "except PostconditionViolation:\n"
+        "    print('debug', __debug__, 'raised')\n"
+    )
+    src = str(Path(okuboplane.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["debug", "False", "raised"]
+
+
+# join and meet check only the incidence their formula does not give by construction:
+# a wrong quotient must still be caught, and would not be if the formula were rebuilt
+# through the checked element
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda k: k.value)
+def test_join_catches_a_wrong_slope_from_solve_right(monkeypatch, kind):
+    monkeypatch.setattr(okuboplane.plane, "solve_right",
+                        lambda kind, a, b: solve_right(kind, a, b) + E)
+    with pytest.raises(PostconditionViolation):
+        PLANES[kind].join(ORIGIN, AffinePoint(E, I1))
+    with pytest.raises(PostconditionViolation):
+        PLANES[kind].join(AffinePoint(E, I1), ORIGIN)
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda k: k.value)
+def test_meet_catches_a_wrong_point_from_solve_left(monkeypatch, kind):
+    monkeypatch.setattr(okuboplane.plane, "solve_left",
+                        lambda kind, a, b: solve_left(kind, a, b) + E)
+    l, m = FiniteLine(ZERO, ZERO), FiniteLine(E, I1)
+    with pytest.raises(PostconditionViolation):
+        PLANES[kind].meet(l, m)
+    with pytest.raises(PostconditionViolation):
+        PLANES[kind].meet(m, l)
 
 
 def test_join_equal_points_raises():
