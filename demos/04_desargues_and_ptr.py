@@ -56,8 +56,8 @@ print(f"while in the octonionic plane the unit slope fixes every x: e.i1 = "
 print()
 print("== quadrangle stabilizer: the related-triple conditions ==")
 print(f"(id,  id,  id ) satisfies B(s*x) = C(s)*A(x) with e fixed: "
-      f"{g2_triple_check(IDENTITY, IDENTITY, IDENTITY, trials=100, seed=0)}")
+      f"{g2_triple_check(IDENTITY, IDENTITY, IDENTITY)}")
 print(f"(tau, tau, tau) satisfies it (tau is an Okubo automorphism):  "
-      f"{g2_triple_check(TAU, TAU, TAU, trials=100, seed=0)}")
-print(f"(tau, id,  id ) violates it on a random sample:              "
-      f"{not g2_triple_check(TAU, IDENTITY, IDENTITY, trials=100, seed=0)}")
+      f"{g2_triple_check(TAU, TAU, TAU)}")
+print(f"(tau, id,  id ) violates it on a basis pair:                  "
+      f"{not g2_triple_check(TAU, IDENTITY, IDENTITY)}")

@@ -241,6 +241,8 @@ class LinMap8(Frozen):
         return _vec(_contract(_ONE, (self,), v._triples))
 
     def __matmul__(self, other: LinMap8) -> LinMap8:
+        if other.__class__ is not LinMap8:
+            return NotImplemented
         return LinMap8(tuple(map(self.apply, other.images)))
 
 

@@ -24,9 +24,8 @@ from .algebra import (
     Vec8,
     algebra_kind,
     mul,
-    random_vec,
     solve_left,
-    trial_rng,
+    structure_table,
 )
 from .plane import (
     INFINITY_POINT,
@@ -54,7 +53,8 @@ class KindMismatch(TypeError):
 
 class Collineation(Frozen):
     """Base: a plane map with fixed source and target kinds, both ``kind`` unless
-    a subclass overrides them; a kind that is not an ``AlgebraKind`` raises
+    a subclass overrides them; a kind that is not an ``AlgebraKind``, or an
+    operand field of another type than ``_operands`` names, raises
     ``TypeError`` when the map is built.  A subclass gives ``invert`` and one
     ``_image`` over all six point and line types (returning the elements it
     fixes); the base applies it to a point or a line and rejects the other
@@ -62,11 +62,16 @@ class Collineation(Frozen):
 
     __slots__ = ()
     kind: AlgebraKind
+    _operands: dict[str, type] = {}  # field name -> the type its value must have
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
         algebra_kind(self.source)
         algebra_kind(self.target)
+        for field, cls in self._operands.items():
+            value = getattr(self, field)
+            if not isinstance(value, cls):
+                raise TypeError(f"{self.name}.{field} must be {cls.__name__}, not {value!r}")
 
     @property
     def source(self) -> AlgebraKind:
@@ -104,6 +109,7 @@ class Translation(Collineation):
     """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
 
     __slots__ = ("kind", "a", "b")
+    _operands = {"a": Vec8, "b": Vec8}
 
     def _image(self, v: PjElement) -> PjElement:
         if isinstance(v, AffinePoint):
@@ -122,6 +128,7 @@ class Shear(Collineation):
     """(x, y) -> (x, y + a o x); axis [0], center the infinity point."""
 
     __slots__ = ("kind", "a")
+    _operands = {"a": Vec8}
 
     def _image(self, v: PjElement) -> PjElement:
         if isinstance(v, AffinePoint):
@@ -146,12 +153,11 @@ class Triality(Collineation):
     """
 
     __slots__ = ("kind", "inverse")
+    _operands = {"inverse": bool}
 
     def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
         if kind is AlgebraKind.OCTONION:
             raise KindMismatch("triality shift is defined on the Okubo and para planes")
-        if type(inverse) is not bool:
-            raise TypeError(f"the triality's inverse flag is a bool, not {inverse!r}")
         super().__init__(kind, inverse)
 
     def _shift(self, v: VeroneseVec) -> VeroneseVec:
@@ -174,6 +180,7 @@ class ChartMap(Collineation):
     the kinds and f with g."""
 
     __slots__ = ("label", "inverse_label", "source", "target", "f", "g")
+    _operands = {"f": LinMap8, "g": LinMap8}
 
     @property
     def name(self) -> str:
@@ -248,6 +255,9 @@ class Composite(Collineation):
     def __init__(self, steps: tuple[Collineation, ...]) -> None:
         if not steps:
             raise ValueError("empty composite")
+        for step in steps:
+            if not isinstance(step, Collineation):
+                raise TypeError(f"a composite's steps are collineations, not {step!r}")
         for first, second in zip(steps, steps[1:]):
             if first.target is not second.source:
                 raise KindMismatch(f"cannot chain {first.target.value} -> {second.source.value}")
@@ -295,23 +305,14 @@ def transported_reflection_closed_form(p: PjPoint) -> AffinePoint:
     return AffinePoint(_TAU_CONJ.apply(p.y), _TAU2_CONJ.apply(p.x))
 
 
-def g2_triple_check(a: LinMap8, b: LinMap8, c: LinMap8, trials: int, seed: int) -> bool:
-    """Related-triple conditions with respect to the Okubo product:
-    B(s*x) = C(s)*A(x), B(e*x) = e*A(x), B(x*e) = C(x)*e, and the three maps
-    fix e.  Sampled on ``trials`` random pairs; any exact violation returns
-    False.  ``ValueError`` when ``trials < 1``: a vacuous check accepts nothing."""
-    if trials < 1:
-        raise ValueError(f"g2_triple_check needs at least one trial, not {trials}")
-    ok = AlgebraKind.OKUBO
-    if a.apply(E) != E or b.apply(E) != E or c.apply(E) != E:
+def g2_triple_check(a: LinMap8, b: LinMap8, c: LinMap8) -> bool:
+    """Related-triple condition with respect to the Okubo product: the three
+    maps fix e and B(s*x) = C(s)*A(x) for all s and x.  Both sides are
+    bilinear, so the 64 basis pairs decide it exactly; at s = e and at x = e
+    it gives B(e*x) = e*A(x) and B(x*e) = C(x)*e."""
+    if a.images[0] != E or b.images[0] != E or c.images[0] != E:
         return False
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        x, s = random_vec(rng), random_vec(rng)
-        if b.apply(mul(ok, s, x)) != mul(ok, c.apply(s), a.apply(x)):
-            return False
-        if b.apply(mul(ok, E, x)) != mul(ok, E, a.apply(x)):
-            return False
-        if b.apply(mul(ok, x, E)) != mul(ok, c.apply(x), E):
-            return False
-    return True
+    ok = AlgebraKind.OKUBO
+    products = structure_table(ok).products
+    return all(b.apply(products[i][j]) == mul(ok, cs, ax)
+               for i, cs in enumerate(c.images) for j, ax in enumerate(a.images))

@@ -158,9 +158,16 @@ line_from_json = PjLine.from_json
 
 
 class VeroneseVec(Frozen):
-    """A vector (x1, x2, x3; l1, l2, l3) of the 27-dimensional model space."""
+    """A vector (x1, x2, x3; l1, l2, l3) of the 27-dimensional model space;
+    ``TypeError`` unless x1-x3 are ``Vec8`` and l1-l3 are ``QSqrt3``."""
 
     __slots__ = ("x1", "x2", "x3", "l1", "l2", "l3")
+    _slot_types = (Vec8, Vec8, Vec8, QSqrt3, QSqrt3, QSqrt3)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        Frozen.__init__(self, *args, **kwargs)
+        if not all(map(isinstance, self._values(self), self._slot_types)):
+            raise TypeError(f"VeroneseVec takes three Vec8 and three QSqrt3, not {self!r}")
 
     def scale(self, s: QSqrt3) -> VeroneseVec:
         return VeroneseVec(

@@ -636,7 +636,7 @@ def _g2_accepts(maps):
     """Scan: g2_triple_check accepts the triple ``maps``."""
 
     def scan(kind, n, seed):
-        if not g2_triple_check(*maps, trials=n, seed=seed):
+        if not g2_triple_check(*maps):
             yield {"reason": "triple condition violated"}
 
     return scan
@@ -657,7 +657,7 @@ G2_MIXED_SAMPLES = Check("g2-triple-mixed-fails", (OK,), _g2_mixed_sample,
 def _g2_mixed_fails(kind, trials, seed):
     """The sampled witness, and a failure if g2_triple_check accepts the triple."""
     report = G2_MIXED_SAMPLES.report(kind, kind, trials, seed)
-    if g2_triple_check(TAU, IDENTITY, IDENTITY, trials=trials, seed=seed):
+    if g2_triple_check(TAU, IDENTITY, IDENTITY):
         report.failures.append({"reason": "g2_triple_check accepted (tau, id, id)"})
     return report
 

@@ -1,6 +1,10 @@
+import sys
+
 import pytest
 
 from okuboplane.algebra import (
+    BASIS,
+    CONJ,
     IDENTITY,
     TAU,
     TAU2,
@@ -397,22 +401,51 @@ def test_linmap_identity_and_tau():
 
 
 def test_g2_triple_examples():
-    assert g2_triple_check(IDENTITY, IDENTITY, IDENTITY, trials=30, seed=0)
-    assert g2_triple_check(TAU, TAU, TAU, trials=30, seed=0)
-    assert not g2_triple_check(TAU, IDENTITY, IDENTITY, trials=30, seed=0)
+    assert g2_triple_check(IDENTITY, IDENTITY, IDENTITY)
+    assert g2_triple_check(TAU, TAU, TAU)
+    assert not g2_triple_check(TAU, IDENTITY, IDENTITY)
 
 
 def test_g2_triple_requires_fixing_e():
     # a map sending e elsewhere fails immediately
     shifted = LinMap8(tuple(Vec8.basis((k + 1) % 8) for k in range(8)))
-    assert not g2_triple_check(shifted, IDENTITY, IDENTITY, trials=5, seed=0)
+    assert not g2_triple_check(shifted, IDENTITY, IDENTITY)
+    # (-id, id, -id) satisfies B(s*x) = C(s)*A(x) on every pair but moves e
+    minus = LinMap8(tuple(-v for v in BASIS))
+    assert not _failing_basis_pairs(minus, IDENTITY, minus)
+    assert not g2_triple_check(minus, IDENTITY, minus)
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_g2_triple_refuses_a_vacuous_budget(trials):
-    # with no trials only the fixing of e would be checked, and TAU would pass
-    with pytest.raises(ValueError, match="at least one trial"):
-        g2_triple_check(TAU, IDENTITY, IDENTITY, trials=trials, seed=0)
+def _failing_basis_pairs(a, b, c):
+    """The basis pairs (i, j) with B(s*x) != C(s)*A(x) at s = basis_i, x =
+    basis_j, from products formed here rather than read from the table."""
+    return [(i, j) for i, s in enumerate(BASIS) for j, x in enumerate(BASIS)
+            if b.apply(mul(OK, s, x)) != mul(OK, c.apply(s), a.apply(x))]
+
+
+@pytest.mark.parametrize(("maps", "failing"), [
+    ((TAU2,) * 3, 0), ((CONJ,) * 3, 46), ((TAU, TAU2, TAU), 32), ((TAU, IDENTITY, IDENTITY), 32),
+], ids=["tau2", "conj", "tau-tau2-tau", "tau-id-id"])
+def test_g2_triple_check_decides_on_the_basis(maps, failing):
+    # every map here fixes e, so the verdict is the basis pairs' alone
+    assert all(m.apply(E) == E for m in maps)
+    assert len(_failing_basis_pairs(*maps)) == failing
+    assert g2_triple_check(*maps) is (failing == 0)
+
+
+def test_g2_triple_check_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("g2_triple_check drew a random value")
+
+    # rebound under every name an okuboplane module gives them
+    for fn in (trial_rng, random_vec):
+        for name, module in list(sys.modules.items()):
+            if name == "okuboplane" or name.startswith("okuboplane."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, refuse)
+    assert g2_triple_check(TAU, TAU, TAU)
+    assert not g2_triple_check(CONJ, CONJ, CONJ)
 
 
 @pytest.mark.parametrize("chart", [PHI, PPHI], ids=["phi", "pphi"])

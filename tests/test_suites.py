@@ -129,7 +129,7 @@ def test_trivolution_table_comparison_is_timed():
 
 
 def test_g2_mixed_row_fails_when_g2_triple_check_accepts(monkeypatch):
-    monkeypatch.setattr(suites, "g2_triple_check", lambda *maps, trials, seed: True)
+    monkeypatch.setattr(suites, "g2_triple_check", lambda *maps: True)
     report = _named(suites.suite_g2("okubo", 3, 0), "g2-triple-mixed-fails")
     assert report.mode == "expect-witness" and report.verdict == "fail"
     assert report.failures == [{"reason": "g2_triple_check accepted (tau, id, id)"}]

@@ -199,14 +199,33 @@ def test_constructor_checks_stay():
     (lambda: SlopePoint("x"), TypeError, "Vec8"),
     (lambda: FiniteLine(E, None), TypeError, "Vec8"),
     (lambda: VerticalLine(1), TypeError, "Vec8"),
+    (lambda: VeroneseVec(1, 2, 3, 4, 5, 6), TypeError, "three Vec8 and three QSqrt3"),
+    (lambda: VeroneseVec(E, E, E, 0, 0, 1), TypeError, "three Vec8 and three QSqrt3"),
+    (lambda: VeroneseVec(E, E, QS_ONE, QS_ONE, QS_ONE, QS_ONE), TypeError, "three Vec8"),
+    (lambda: Translation(OK, E, 1), TypeError, "Translation.b must be Vec8"),
+    (lambda: Shear(OK, "a"), TypeError, "Shear.a must be Vec8"),
+    (lambda: ChartMap("F", "G", OK, OK, 1, TAU), TypeError, "F.f must be LinMap8"),
+    (lambda: ChartMap("F", "G", OK, OK, TAU, TAU.images), TypeError, "F.g must be LinMap8"),
+    (lambda: compose(PHI, 3), TypeError, "collineations"),
+    (lambda: Composite((E,)), TypeError, "collineations"),
 ], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind",
         "translation-string-kind", "shear-string-kind", "chart-string-source", "chart-none-target",
         "plane-string-kind", "plane-none-kind", "triality-string-inverse", "triality-int-inverse",
         "affine-int-coordinates", "affine-tuple-coordinate", "slope-string", "line-none-offset",
-        "vertical-int"])
+        "vertical-int", "veronese-ints", "veronese-int-lambdas", "veronese-scalar-slot",
+        "translation-int-offset", "shear-string-slope", "chart-int-f", "chart-tuple-g",
+        "composite-int-step", "composite-vector-step"])
 def test_bad_kind_or_shape_fails_when_the_value_is_built(make, error, match):
     with pytest.raises(error, match=match):
         make()
+
+
+def test_linear_map_composes_only_with_linear_maps():
+    assert TAU.__matmul__(3) is NotImplemented
+    with pytest.raises(TypeError, match="@"):
+        TAU @ 3
+    with pytest.raises(TypeError, match="@"):
+        TAU @ E
 
 
 def test_linear_map_columns_follow_its_images():
