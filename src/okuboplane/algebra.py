@@ -119,8 +119,10 @@ class Vec8(Frozen):
     def basis(k: int) -> Vec8:
         return _VEC_BASIS[k]
 
-    def __getitem__(self, k: int) -> QSqrt3:
-        return self.c[k]
+    def __getitem__(self, k: int | slice) -> QSqrt3 | tuple[QSqrt3, ...]:
+        if isinstance(k, slice):
+            return tuple(starmap(_raw, self._triples[k]))
+        return _raw(*self._triples[k])
 
     def __iter__(self) -> Iterator[QSqrt3]:
         return starmap(_raw, self._triples)

@@ -22,7 +22,6 @@ from .algebra import (
     E,
     LinMap8,
     Vec8,
-    algebra_kind,
     mul,
     solve_left,
     structure_table,
@@ -53,8 +52,8 @@ class KindMismatch(TypeError):
 
 class Collineation(Frozen):
     """Base: a plane map with fixed source and target kinds, both ``kind`` unless
-    a subclass overrides them; a kind that is not an ``AlgebraKind``, or an
-    operand field of another type than ``_operands`` names, raises
+    a subclass overrides them; a subclass with fields declares their types in
+    ``_field_types``, kinds as ``AlgebraKind``, so a foreign field raises
     ``TypeError`` when the map is built.  A subclass gives ``invert`` and one
     ``_image`` over all six point and line types (returning the elements it
     fixes); the base applies it to a point or a line and rejects the other
@@ -62,16 +61,6 @@ class Collineation(Frozen):
 
     __slots__ = ()
     kind: AlgebraKind
-    _operands: dict[str, type] = {}  # field name -> the type its value must have
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
-        algebra_kind(self.source)
-        algebra_kind(self.target)
-        for field, cls in self._operands.items():
-            value = getattr(self, field)
-            if not isinstance(value, cls):
-                raise TypeError(f"{self.name}.{field} must be {cls.__name__}, not {value!r}")
 
     @property
     def source(self) -> AlgebraKind:
@@ -109,7 +98,7 @@ class Translation(Collineation):
     """(x, y) -> (x + a, y + b); fixes the line at infinity pointwise."""
 
     __slots__ = ("kind", "a", "b")
-    _operands = {"a": Vec8, "b": Vec8}
+    _field_types = (AlgebraKind, Vec8, Vec8)
 
     def _image(self, v: PjElement) -> PjElement:
         if isinstance(v, AffinePoint):
@@ -128,7 +117,7 @@ class Shear(Collineation):
     """(x, y) -> (x, y + a o x); axis [0], center the infinity point."""
 
     __slots__ = ("kind", "a")
-    _operands = {"a": Vec8}
+    _field_types = (AlgebraKind, Vec8)
 
     def _image(self, v: PjElement) -> PjElement:
         if isinstance(v, AffinePoint):
@@ -153,7 +142,7 @@ class Triality(Collineation):
     """
 
     __slots__ = ("kind", "inverse")
-    _operands = {"inverse": bool}
+    _field_types = (AlgebraKind, bool)
 
     def __init__(self, kind: AlgebraKind = AlgebraKind.OKUBO, inverse: bool = False) -> None:
         if kind is AlgebraKind.OCTONION:
@@ -180,7 +169,7 @@ class ChartMap(Collineation):
     the kinds and f with g."""
 
     __slots__ = ("label", "inverse_label", "source", "target", "f", "g")
-    _operands = {"f": LinMap8, "g": LinMap8}
+    _field_types = (str, str, AlgebraKind, AlgebraKind, LinMap8, LinMap8)
 
     @property
     def name(self) -> str:

@@ -24,7 +24,6 @@ import random
 from .algebra import (
     AlgebraKind,
     Vec8,
-    algebra_kind,
     draw,
     left_quotient,
     mul,
@@ -74,15 +73,10 @@ class PjElement(Frozen):
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        cls._field_types = (Vec8,) * len(cls._fields)
         if "_tag" in cls.__dict__:
             cls._keys = cls.__dict__.get("_keys", cls._fields)
             cls._types[cls._tag] = cls
-
-    def __init__(self, *args: Vec8, **kwargs: Vec8) -> None:
-        Frozen.__init__(self, *args, **kwargs)
-        for v in self._values(self):
-            if not isinstance(v, Vec8):
-                raise TypeError(f"{type(self).__name__} coordinates must be Vec8, not {v!r}")
 
     def to_json(self) -> dict:
         return {"t": self._tag, **{k: v.to_json() for k, v in zip(self._keys, self._values(self))}}
@@ -162,12 +156,7 @@ class VeroneseVec(Frozen):
     ``TypeError`` unless x1-x3 are ``Vec8`` and l1-l3 are ``QSqrt3``."""
 
     __slots__ = ("x1", "x2", "x3", "l1", "l2", "l3")
-    _slot_types = (Vec8, Vec8, Vec8, QSqrt3, QSqrt3, QSqrt3)
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        Frozen.__init__(self, *args, **kwargs)
-        if not all(map(isinstance, self._values(self), self._slot_types)):
-            raise TypeError(f"VeroneseVec takes three Vec8 and three QSqrt3, not {self!r}")
+    _field_types = (Vec8, Vec8, Vec8, QSqrt3, QSqrt3, QSqrt3)
 
     def scale(self, s: QSqrt3) -> VeroneseVec:
         return VeroneseVec(
@@ -196,9 +185,7 @@ class Plane(Frozen):
     otherwise), selects product, slope/meet formulas and the Veronese variant."""
 
     __slots__ = ("kind",)
-
-    def __init__(self, kind: AlgebraKind) -> None:
-        Frozen.__init__(self, algebra_kind(kind))
+    _field_types = (AlgebraKind,)
 
     def mul(self, x: Vec8, y: Vec8) -> Vec8:
         return mul(self.kind, x, y)

@@ -9,18 +9,18 @@ way the invariant is the same: verdict is "pass" iff ``failures`` is empty.
 A ``PostconditionViolation`` raised while the outcomes are drawn ends the
 report with that error as a failure, never as a witness.
 The rows ``Check``, ``Scan`` and ``Build`` each make one report.  They are
-plain slotted classes, so defining them generates and compiles no code.
+``Frozen`` values, so a row is immutable and compares by its fields.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import AlgebraKind, trial_rng
 from .plane import PostconditionViolation
+from .scalar import Frozen
 
 
 class TheoremReport:
@@ -114,27 +114,21 @@ def outcome_report(
     )
 
 
-class Check:
+class Check(Frozen):
     """A sampled row.  ``check(arg, rng)`` returns a failure, or a witness
     when ``missing`` is set (expect-witness: it says what finding none means).
-    ``budget`` turns the --trials value into the row's trial count, which
-    must be at least one: a report that checked nothing cannot fail."""
+    ``budget``, when given, turns the --trials value into the row's trial
+    count (the --trials value itself otherwise), which must be at least one:
+    a report that checked nothing cannot fail."""
 
     __slots__ = ("name", "kinds", "check", "budget", "missing")
-
-    def __init__(
-        self, name: str, kinds: tuple[AlgebraKind, ...],
-        check: Callable[[object, random.Random], Optional[dict]],
-        budget: Callable[[int], int] = lambda trials: trials, missing: Optional[str] = None,
-    ) -> None:
-        self.name, self.kinds, self.check, self.budget, self.missing = (
-            name, kinds, check, budget, missing)
+    _optional = ("budget", "missing")
 
     def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
         return (self.check(arg, trial_rng(seed, i)) for i in range(n))
 
     def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
-        n = self.budget(trials)
+        n = trials if self.budget is None else self.budget(trials)
         if n < 1:
             raise ValueError(f"{self.name}: {trials} trials give {n}, and a report needs one")
         return _stopwatch(lambda: outcome_report(
@@ -147,20 +141,17 @@ class Scan(Check):
     generator function, so nothing runs before the report draws the stream."""
 
     __slots__ = ()
+    _fields = Check._fields
 
     def outcomes(self, arg, n: int, seed: int) -> Iterator[Optional[dict]]:
         return self.check(arg, n, seed)
 
 
-class Build:
+class Build(Frozen):
     """A row whose report ``build(arg, trials, seed)`` makes whole, apart
     from its ``elapsed_ms``."""
 
     __slots__ = ("kinds", "build")
-
-    def __init__(self, kinds: tuple[AlgebraKind, ...],
-                 build: Callable[[object, int, int], TheoremReport]) -> None:
-        self.kinds, self.build = kinds, build
 
     def report(self, kind: AlgebraKind, arg, trials: int, seed: int) -> TheoremReport:
         return _stopwatch(lambda: self.build(arg, trials, seed))

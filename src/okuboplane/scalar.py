@@ -33,11 +33,14 @@ class ZeroInverse(ZeroDivisionError):
 class Frozen:
     """Immutable value type, with no generated code.  The fields are the
     ``__slots__`` (or a ``_fields`` prefix, when later slots are derived),
-    given by position or name; ``_optional`` ones default to ``None``.  Equal
-    means the same type with equal fields; the hash is the field tuple's."""
+    given by position or name; ``_optional`` ones default to ``None``.  A type
+    that takes input declares ``_field_types``, one type or tuple of types per
+    field, and a field of another type raises ``TypeError`` once all are set.
+    Equal means the same type with equal fields; the hash is the field tuple's."""
 
     __slots__ = ()
     _optional: tuple[str, ...] = ()
+    _field_types: tuple[type | tuple[type, ...], ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
@@ -51,6 +54,11 @@ class Frozen:
             args = self._bind(args, kwargs)
         for setter, value in zip(setters, args):
             setter(self, value)
+        for field, types, value in zip(self._fields, self._field_types, args):
+            if not isinstance(value, types):
+                wanted = [t.__name__ for t in (types if isinstance(types, tuple) else (types,))]
+                raise TypeError(f"{getattr(self, 'name', type(self).__name__)}.{field} must be"
+                                f" {' or '.join(wanted)}, not {value!r}")
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
         fields = self._fields

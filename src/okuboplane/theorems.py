@@ -43,7 +43,8 @@ class DegenerateConfig(ValueError):
 class DesarguesConfig(Frozen):
     """Two triangles a b c and a' b' c' perspective from ``center``, with the
     side intersections l2, l3 already placed on ``axis`` by construction
-    and, optionally, the deciding intersection l1.
+    and, optionally, the deciding intersection l1.  ``axis`` is a ``PjLine``
+    and every other field a ``PjPoint`` (``TypeError`` otherwise).
 
     A built configuration also carries the sides its build joined, with the
     kind of their plane, in the derived slot ``_lines``; it is not a field, so
@@ -53,6 +54,7 @@ class DesarguesConfig(Frozen):
     __slots__ = ("center", "axis", "a", "b", "c", "a1", "b1", "c1", "l2", "l3", "l1", "_lines")
     _fields = __slots__[:-1]  # _lines is derived: the sides the build joined
     _optional = ("l1",)
+    _field_types = (PjPoint, PjLine) + (PjPoint,) * 8 + ((PjPoint, type(None)),)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         Frozen.__init__(self, *args, **kwargs)

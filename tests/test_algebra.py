@@ -769,6 +769,10 @@ def test_vector_arithmetic_builds_no_scalar(monkeypatch):
     assert count == [0]
     polar(x, y)
     assert count == [1]
+    x[3]  # one coordinate read builds one scalar, a slice one per coordinate
+    assert count == [2]
+    x[2:5]
+    assert count == [5]
 
 
 def test_kernel_built_vectors_read_the_same_through_every_view():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import okuboplane
+from okuboplane import suites
 from okuboplane.algebra import (
     TAU,
     AlgebraKind,
@@ -52,8 +53,8 @@ from okuboplane.plane import (
     VerticalLine,
     VeroneseVec,
 )
-from okuboplane.report import TheoremReport
-from okuboplane.scalar import QS_ONE, QS_ZERO, QSqrt3
+from okuboplane.report import Build, Check, Scan, TheoremReport
+from okuboplane.scalar import QS_ONE, QS_ZERO, Frozen, QSqrt3
 from okuboplane.theorems import DesarguesConfig
 
 OK = AlgebraKind.OKUBO
@@ -62,6 +63,8 @@ I1 = Vec8.basis(1)
 P = AffinePoint(E, I1)
 L = FiniteLine(I1, E)
 NAMES = ("center", "axis", "a", "b", "c", "a1", "b1", "c1", "l2", "l3", "l1")
+ROW = ("name", "kinds", "check", "budget", "missing")
+SCAN = next(row for row in suites.IDENTITY_ROWS if isinstance(row, Scan) and row.budget is None)
 
 # one value of each type, with its field names in order
 SAMPLES = [
@@ -84,6 +87,9 @@ SAMPLES = [
     (OctReflection(), ()),
     (compose(PHI, OctReflection(), PHI_INV), ("steps",)),
     (DesarguesConfig(P, L, *[P] * 9), NAMES),
+    (suites.MOUFANG_HOLDS, ROW),
+    (SCAN, ROW),
+    (suites.MOUFANG_FAILS, ("kinds", "build")),
 ]
 IDS = [type(value).__name__ for value, _ in SAMPLES]
 
@@ -93,6 +99,7 @@ def test_samples_cover_every_value_type():
         LinMap8, HermMat3, StructureTable, GramMatrix, AffinePoint, SlopePoint,
         InfinityPoint, FiniteLine, VerticalLine, LineAtInfinity, VeroneseVec, Plane,
         Translation, Shear, Triality, ChartMap, OctReflection, Composite, DesarguesConfig,
+        Check, Scan, Build,
     }
 
 
@@ -199,25 +206,61 @@ def test_constructor_checks_stay():
     (lambda: SlopePoint("x"), TypeError, "Vec8"),
     (lambda: FiniteLine(E, None), TypeError, "Vec8"),
     (lambda: VerticalLine(1), TypeError, "Vec8"),
-    (lambda: VeroneseVec(1, 2, 3, 4, 5, 6), TypeError, "three Vec8 and three QSqrt3"),
-    (lambda: VeroneseVec(E, E, E, 0, 0, 1), TypeError, "three Vec8 and three QSqrt3"),
-    (lambda: VeroneseVec(E, E, QS_ONE, QS_ONE, QS_ONE, QS_ONE), TypeError, "three Vec8"),
+    (lambda: VeroneseVec(1, 2, 3, 4, 5, 6), TypeError, "VeroneseVec.x1 must be Vec8, not 1"),
+    (lambda: VeroneseVec(E, E, E, 0, 0, 1), TypeError, "VeroneseVec.l1 must be QSqrt3, not 0"),
+    (lambda: VeroneseVec(E, E, QS_ONE, QS_ONE, QS_ONE, QS_ONE), TypeError,
+     "VeroneseVec.x3 must be Vec8"),
     (lambda: Translation(OK, E, 1), TypeError, "Translation.b must be Vec8"),
     (lambda: Shear(OK, "a"), TypeError, "Shear.a must be Vec8"),
     (lambda: ChartMap("F", "G", OK, OK, 1, TAU), TypeError, "F.f must be LinMap8"),
     (lambda: ChartMap("F", "G", OK, OK, TAU, TAU.images), TypeError, "F.g must be LinMap8"),
     (lambda: compose(PHI, 3), TypeError, "collineations"),
     (lambda: Composite((E,)), TypeError, "collineations"),
+    (lambda: DesarguesConfig(*range(10)), TypeError, "DesarguesConfig.center must be PjPoint"),
+    (lambda: DesarguesConfig(L, L, *[P] * 8), TypeError, "center must be PjPoint, not"),
+    (lambda: DesarguesConfig(P, P, *[P] * 8), TypeError, "axis must be PjLine, not"),
+    (lambda: DesarguesConfig(P, L, *[P] * 8, L), TypeError, "l1 must be PjPoint or NoneType"),
 ], ids=["table-seven-rows", "gram-three-rows", "table-string-kind", "triality-string-kind",
         "translation-string-kind", "shear-string-kind", "chart-string-source", "chart-none-target",
         "plane-string-kind", "plane-none-kind", "triality-string-inverse", "triality-int-inverse",
         "affine-int-coordinates", "affine-tuple-coordinate", "slope-string", "line-none-offset",
         "vertical-int", "veronese-ints", "veronese-int-lambdas", "veronese-scalar-slot",
         "translation-int-offset", "shear-string-slope", "chart-int-f", "chart-tuple-g",
-        "composite-int-step", "composite-vector-step"])
+        "composite-int-step", "composite-vector-step", "desargues-ints", "desargues-line-center",
+        "desargues-point-axis", "desargues-line-l1"])
 def test_bad_kind_or_shape_fails_when_the_value_is_built(make, error, match):
     with pytest.raises(error, match=match):
         make()
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_field_types_name_every_field_or_none():
+    # zip would skip the fields past a short tuple without a word
+    declared = {cls: cls._field_types for cls in _subclasses(Frozen)}
+    assert {cls for cls, types in declared.items() if len(types) not in (0, len(cls._fields))} == set()
+    assert {AffinePoint, VeroneseVec, Plane, Translation, ChartMap, DesarguesConfig} <= {
+        cls for cls, types in declared.items() if types}
+
+
+def test_field_types_are_checked_under_python_optimize():
+    code = ("from okuboplane.plane import AffinePoint\n"
+            "from okuboplane.theorems import DesarguesConfig\n"
+            "for make in (lambda: AffinePoint(1, 2), lambda: DesarguesConfig(*range(10))):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except TypeError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(okuboplane.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "AffinePoint.x must be Vec8, not 1", "DesarguesConfig.center must be PjPoint, not 0"]
 
 
 def test_linear_map_composes_only_with_linear_maps():
