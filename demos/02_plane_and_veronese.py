@@ -58,7 +58,7 @@ print(f"point {p}")
 print(f"  lambda = ({v.l1}, {v.l2}, {v.l3})   (n(y), n(x), 1)")
 print(f"  satisfies the Veronese conditions (sharp(v) = 0): {plane.is_veronese(v)}")
 print(f"  beta(v, v) = {beta(v, v)} > 0")
-normalized, _ = plane.normalize_veronese(v)
+normalized = plane.normalize_veronese(v)
 print(f"  normalized lambda sum = {normalized.l1 + normalized.l2 + normalized.l3}")
 
 print()

@@ -14,6 +14,8 @@ the isomorphism is the closed form (tau(conj(y)), tau2(conj(x))).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .algebra import (
     CONJ,
     TAU,
@@ -237,11 +239,13 @@ class OctReflection(Collineation):
 
 class Composite(Collineation):
     """Left-to-right chain of collineations with matching kinds; a step may
-    itself be a composite."""
+    itself be a composite.  ``steps`` is stored as a tuple, so the chain
+    compares and hashes the same whatever iterable gave it."""
 
     __slots__ = ("steps",)
 
-    def __init__(self, steps: tuple[Collineation, ...]) -> None:
+    def __init__(self, steps: Iterable[Collineation]) -> None:
+        steps = tuple(steps)
         if not steps:
             raise ValueError("empty composite")
         for step in steps:
@@ -266,7 +270,7 @@ class Composite(Collineation):
         return v
 
     def invert(self) -> Composite:
-        return Composite(tuple(step.invert() for step in reversed(self.steps)))
+        return Composite(step.invert() for step in reversed(self.steps))
 
 
 def compose(*colls: Collineation) -> Composite:

@@ -338,21 +338,16 @@ class Plane(Frozen):
         """The six kind-specific Veronese conditions: ``sharp(v)`` vanishes."""
         return not self.sharp(v)
 
-    def normalize_veronese(self, v: VeroneseVec) -> tuple[VeroneseVec, bool]:
-        """Rescale so that l1+l2+l3 = 1; flag False when the sum vanishes.
-
-        Point representatives produced by ``point_to_veronese`` always have
-        nonnegative lambdas with positive sum, so they normalise; the flag
-        only matters for hand-built vectors.
-        """
+    def normalize_veronese(self, v: VeroneseVec) -> VeroneseVec:
+        """``v`` scaled to l1 + l2 + l3 = 1; ``NotVeronese`` for zero or ``sharp(v)`` != 0.
+        The sum is never 0, as n is positive definite: ``sharp(v)`` = 0 gives l2 l3 = n(x1),
+        l3 l1 = n(x2) and l1 l2 = n(x3), so l3 (l1 + l2 + l3) = n(x1) + n(x2) + l3^2 > 0 if
+        l3 != 0, and if l3 = 0 then x1 = x2 = 0 and l1 l2 = n(x3) >= 0 with (l1, l2) != 0."""
         if not v:
             raise NotVeronese("cannot normalise the zero vector")
         if not self.is_veronese(v):
             raise NotVeronese("vector violates the Veronese conditions")
-        total = v.l1 + v.l2 + v.l3
-        if not total:
-            return v, False
-        return v.scale(total.inv()), True
+        return v.scale((v.l1 + v.l2 + v.l3).inv())
 
     def distance(self, p: PjPoint, q: PjPoint) -> QSqrt3:
         """Affine-chart n(dx)^2 + n(dy)^2, kept by every translation: not the elliptic metric."""

@@ -6,8 +6,9 @@ failures are counterexamples to the property) or expects to find an exact
 counterexample to a false statement (``expect-witness``, the found witness is
 recorded and *absence* of one within budget is logged as a failure).  Either
 way the invariant is the same: verdict is "pass" iff ``failures`` is empty.
-A ``PostconditionViolation`` raised while the outcomes are drawn ends the
-report with that error as a failure, never as a witness.
+An exception of ``BROKEN_IDENTITY`` raised while the outcomes are drawn, which
+means that an identity the row relies on broke, ends the report with that
+error as a failure, never as a witness.
 The rows ``Check``, ``Scan`` and ``Build`` each make one report.  They are
 ``Frozen`` values, so a row is immutable and compares by its fields.
 """
@@ -19,8 +20,15 @@ import time
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import AlgebraKind, trial_rng
-from .plane import PostconditionViolation
-from .scalar import Frozen
+from .plane import EqualLines, EqualPoints, NotVeronese, PostconditionViolation
+from .scalar import Frozen, ZeroInverse
+from .theorems import DegenerateConfig
+
+# a broken postcondition, a Veronese vector that is not one, a coincidence the
+# geometry rules out, a zero divisor that cannot be zero
+BROKEN_IDENTITY = (
+    PostconditionViolation, NotVeronese, EqualPoints, EqualLines, DegenerateConfig, ZeroInverse,
+)
 
 
 class TheoremReport:
@@ -80,7 +88,7 @@ def _stopwatch(make: Callable[[], TheoremReport]) -> TheoremReport:
 
 def _draw(outcomes: Iterable[Optional[dict]], first: bool) -> tuple[list[dict], list[dict]]:
     """The outcomes that are not None (only the first one if ``first``), and
-    the record of the broken postcondition that ended the draw, if any."""
+    the record of the broken identity that ended the draw, if any."""
     found: list[dict] = []
     try:
         for outcome in outcomes:
@@ -88,8 +96,8 @@ def _draw(outcomes: Iterable[Optional[dict]], first: bool) -> tuple[list[dict], 
                 found.append(outcome)
                 if first:
                     break
-    except PostconditionViolation as exc:
-        return found, [{"error": "PostconditionViolation", "detail": str(exc)}]
+    except BROKEN_IDENTITY as exc:
+        return found, [{"error": type(exc).__name__, "detail": str(exc)}]
     return found, []
 
 

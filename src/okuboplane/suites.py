@@ -384,9 +384,7 @@ def _beta_incidence(plane, rng):
 
 def _normalization(plane, rng):
     p = random_point(rng)
-    w, scaled = plane.normalize_veronese(plane.point_to_veronese(p))
-    if not scaled:
-        return {"case": "zero-lambda-sum", "point": p.to_json()}
+    w = plane.normalize_veronese(plane.point_to_veronese(p))
     if w.l1 + w.l2 + w.l3 != QS_ONE:
         return {"case": "sum-not-one", "point": p.to_json()}
     if not plane.is_veronese(w):
@@ -555,8 +553,8 @@ FULL_DESARGUES_BUDGET = 1000
 
 def _little_desargues(plane, n, seed):
     """n built configurations whose last intersection must land on the axis:
-    each is 11 exact joins and 5 meets when its first draw succeeds (9 and 4
-    to build it, 2 joins for its incidences and 1 meet for l1)."""
+    each is 11 exact joins and 5 meets (9 and 4 to build it, 2 joins for its
+    incidences and 1 meet for l1)."""
     for i in range(n):
         cfg = theorems.little_desargues_build(plane, theorems.config_seed(seed, i))
         bad = theorems.config_incidences(plane, cfg)

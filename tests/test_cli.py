@@ -228,6 +228,50 @@ def test_broken_join_fails_reports_instead_of_raising(monkeypatch, capsys):
         assert failed[name][0]["detail"].startswith("join of ")
 
 
+def _rows(out):
+    return [(r["name"], r["kind"]) for r in json.loads(out)]
+
+
+def test_a_broken_sharp_fails_the_normalization_rows_instead_of_raising(monkeypatch, capsys):
+    from okuboplane.plane import Plane, VeroneseVec
+
+    rc, intact = run_cli(["all", "--trials", "2", "--format", "json"], capsys)
+    assert rc == 0
+    sharp = Plane.sharp
+
+    def broken(self, v):
+        # the x2 slot reads x1 o x3, not x3 o x1: normalize_veronese raises NotVeronese
+        s = sharp(self, v)
+        x2 = s.x2 - self.mul(v.x3, v.x1) + self.mul(v.x1, v.x3)
+        return VeroneseVec(s.x1, x2, s.x3, s.l1, s.l2, s.l3)
+
+    monkeypatch.setattr(Plane, "sharp", broken)
+    rc, out = run_cli(["all", "--trials", "2", "--format", "json"], capsys)
+    assert rc == 1
+    assert _rows(out) == _rows(intact)  # every report is printed
+    normalization = [r for r in json.loads(out) if r["name"] == "veronese-normalization"]
+    assert sorted(r["kind"] for r in normalization) == ["octonion", "okubo", "para"]
+    for report in normalization:
+        assert [f["error"] for f in report["failures"]] == ["NotVeronese"]
+
+
+def test_a_build_that_raises_fails_the_desargues_rows(monkeypatch, capsys):
+    from okuboplane.plane import EqualPoints, Plane
+
+    def broken(self, p, q):
+        raise EqualPoints("the join of two distinct points saw them equal")
+
+    monkeypatch.setattr(Plane, "join", broken)
+    rc, out = run_cli(["desargues", "--trials", "2", "--format", "json"], capsys)
+    assert rc == 1
+    reports = json.loads(out)
+    assert len(reports) == 6
+    for report in reports:
+        assert report["verdict"] == "fail" and report["witnesses"] == []
+        assert report["failures"] == [{"error": "EqualPoints",
+                                       "detail": "the join of two distinct points saw them equal"}]
+
+
 def test_missing_ptr_witness_fails_report(monkeypatch, capsys):
     from okuboplane import theorems
     from okuboplane.algebra import AlgebraKind, mul

@@ -9,8 +9,8 @@ import pytest
 import okuboplane
 
 from okuboplane.algebra import (
-    AlgebraKind, DegenerateAfterRetries, E, Vec8, mul, norm, trial_rng, random_vec, solve_left,
-    solve_right,
+    AlgebraKind, DegenerateAfterRetries, E, Vec8, draw, mul, norm, trial_rng, random_scalar,
+    random_vec, solve_left, solve_right,
 )
 from okuboplane.plane import (
     INFINITY_POINT,
@@ -393,21 +393,42 @@ def test_sharp_is_cyclic_on_basis_triples_exactly_for_symmetric_kinds(kind, fail
 def test_normalize_examples():
     img = OKUBO_PLANE.point_to_veronese(ORIGIN)
     doubled = img.scale(q(2))
-    normalized, scaled = OKUBO_PLANE.normalize_veronese(doubled)
-    assert scaled and normalized == img
+    assert OKUBO_PLANE.normalize_veronese(doubled) == img
 
     inf_img = OKUBO_PLANE.point_to_veronese(INFINITY_POINT)
-    normalized, scaled = OKUBO_PLANE.normalize_veronese(inf_img)
-    assert scaled and normalized == inf_img
+    assert OKUBO_PLANE.normalize_veronese(inf_img) == inf_img
 
     v = VeroneseVec(ZERO, ZERO, E.scale(q(2)), q(4), QS_ONE, QS_ZERO)
-    normalized, scaled = OKUBO_PLANE.normalize_veronese(v)
-    assert scaled
+    normalized = OKUBO_PLANE.normalize_veronese(v)
     assert normalized == VeroneseVec(
         ZERO, ZERO, E.scale(q(Fraction(2, 5))),
         q(Fraction(4, 5)), q(Fraction(1, 5)), QS_ZERO,
     )
     assert OKUBO_PLANE.is_veronese(v) and OKUBO_PLANE.is_veronese(normalized)
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_every_scaled_image_normalizes_to_lambda_sum_one(kind):
+    # the lambda-sum of a non-zero v with sharp(v) = 0 never vanishes, whatever its sign
+    plane, signs = PLANES[kind], set()
+    for i in range(40):
+        rng = trial_rng(23, i)
+        c = draw(rng, random_scalar, lambda s: not s)
+        signs.add(c.sign())
+        for v in (plane.point_to_veronese(random_point(rng)),
+                  plane.line_to_veronese(random_line(rng))):
+            w = plane.normalize_veronese(v.scale(c))
+            assert w.l1 + w.l2 + w.l3 == QS_ONE
+            assert plane.normalize_veronese(v) == w and plane.is_veronese(w)
+    assert signs == {-1, 1}
+
+
+def test_the_zero_vector_decodes_to_no_point_and_no_line():
+    zero = VeroneseVec(ZERO, ZERO, ZERO, QS_ZERO, QS_ZERO, QS_ZERO)
+    with pytest.raises(NotVeronese, match="a point"):
+        OKUBO_PLANE.point_from_veronese(zero)
+    with pytest.raises(NotVeronese, match="a line"):
+        OKUBO_PLANE.line_from_veronese(zero)
 
 
 def test_normalize_rejects_invalid():

@@ -6,8 +6,10 @@ import pytest
 
 import okuboplane
 from okuboplane.algebra import AlgebraKind
-from okuboplane.plane import PostconditionViolation
+from okuboplane.plane import EqualLines, EqualPoints, NotVeronese, PostconditionViolation
 from okuboplane.report import Build, TheoremReport, outcome_report
+from okuboplane.scalar import ZeroInverse
+from okuboplane.theorems import DegenerateConfig
 
 OK = AlgebraKind.OKUBO
 BROKEN = {"error": "PostconditionViolation", "detail": "join gave a bad line"}
@@ -47,6 +49,23 @@ def test_witness_report_stops_at_the_witness():
         None, {"w": 1}, PostconditionViolation("never drawn"),
     ), "a witness")
     assert report.ok and report.witnesses == [{"w": 1}]
+
+
+@pytest.mark.parametrize(
+    "error", [NotVeronese, EqualPoints, EqualLines, DegenerateConfig, ZeroInverse])
+def test_a_broken_identity_is_a_failure_in_either_mode(error):
+    broken = {"error": error.__name__, "detail": "an identity broke"}
+    passing = outcome_report("r", OK, 0, 3, _outcomes(
+        {"x": 1}, error("an identity broke"), {"x": 2}), None)
+    assert passing.failures == [{"x": 1}, broken]
+    witness = outcome_report(
+        "r", OK, 0, 3, _outcomes(None, error("an identity broke")), "a witness")
+    assert witness.failures == [broken] and witness.witnesses == []
+
+
+def test_text_line_counts_the_failures_of_a_failed_pass_report():
+    report = TheoremReport(name="r", kind="okubo", seed=3, trials=5, failures=[{"x": 1}, BROKEN])
+    assert report.text_line() == "FAIL  r  kind=okubo  trials=5  seed=3  [2 failure(s)]"
 
 
 @pytest.mark.parametrize("make", [

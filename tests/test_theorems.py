@@ -5,7 +5,6 @@ import pickle
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 
 import pytest
 
@@ -27,7 +26,7 @@ from okuboplane.suites import (
     PTR_ROWS,
     suite_desargues,
 )
-from okuboplane import algebra, theorems
+from okuboplane import theorems
 from okuboplane.theorems import (
     DegenerateConfig,
     DesarguesConfig,
@@ -108,42 +107,30 @@ def test_builder_configurations_are_pinned(kind):
     assert _digest(desargues_falsify(plane, s, 10) for s in range(5)) == WITNESSES[kind]
 
 
-def test_retry_budget_and_exception_are_the_samplers():
-    assert theorems.DegenerateAfterRetries is algebra.DegenerateAfterRetries
-    assert theorems._RETRIES is algebra._RETRIES == 64
+@pytest.mark.parametrize("method, error", [
+    ("join", theorems.EqualPoints("a join of equal points")),
+    ("meet", theorems.EqualLines("a meet of equal lines")),
+])
+def test_a_coincidence_in_a_build_propagates_after_one_draw(monkeypatch, method, error):
+    # the geometry rules out every coincidence, so a build never redraws past one
+    calls = []
 
+    def recording(*args):
+        calls.append(args)
+        return trial_rng(*args)
 
-def _failing_build(monkeypatch, errors, result=None):
-    """Patches the one-attempt builder to raise ``errors`` in turn, then
-    return ``result``; returns the first draw of each attempt's rng."""
-    attempts, errors = [], iter(errors)
+    def broken(self, *args):
+        raise error
 
-    def attempt(plane, rng, center_on_axis):
-        attempts.append(rng.random())
-        error = next(errors, None)
-        if error is not None:
-            raise error
-        return result
-
-    monkeypatch.setattr(theorems, "_try_build", attempt)
-    return attempts
-
-
-def test_builder_restarts_on_coincident_points_and_lines(monkeypatch):
-    sentinel = object()
-    attempts = _failing_build(
-        monkeypatch, [theorems.EqualPoints("v' repeats v"), theorems.EqualLines("cb = c'b'")],
-        sentinel)
-    assert little_desargues_build(OKUBO_PLANE, seed=4) is sentinel
-    # each attempt draws from its own rng, trial_rng(seed, attempt)
-    assert attempts == [trial_rng(4, k).random() for k in range(3)]
-
-
-def test_builder_gives_up_after_the_retry_budget(monkeypatch):
-    attempts = _failing_build(monkeypatch, repeat(theorems.EqualLines("cb = c'b'")))
-    with pytest.raises(theorems.DegenerateAfterRetries, match="retry budget"):
+    monkeypatch.setattr(theorems, "trial_rng", recording)
+    monkeypatch.setattr(Plane, method, broken)
+    with pytest.raises(type(error), match=str(error)):
         little_desargues_build(OKUBO_PLANE, seed=4)
-    assert len(attempts) == theorems._RETRIES
+    assert calls == [(4, 0)]
+    calls.clear()
+    with pytest.raises(type(error), match=str(error)):
+        desargues_falsify(OKUBO_PLANE, seed=4, max_trials=10)
+    assert calls == [(theorems.config_seed(4, 0), 0)]
 
 
 @pytest.mark.parametrize("max_trials", [0, -1])

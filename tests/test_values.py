@@ -159,6 +159,21 @@ def test_equality_needs_the_same_type():
     assert Shear(OK, I1) != Translation(OK, I1, ZERO)
 
 
+def test_a_plain_number_equals_no_scalar_and_no_vector():
+    for value in (QS_ONE, E, ZERO):
+        assert value.__eq__(1) is NotImplemented
+        assert value != 1 and not value == 1
+
+
+def test_composite_stores_its_steps_as_a_tuple():
+    tupled = Composite((PHI, PHI_INV))
+    for steps in ([PHI, PHI_INV], iter((PHI, PHI_INV))):
+        chain = Composite(steps)
+        assert chain.steps == (PHI, PHI_INV)
+        assert chain == tupled and hash(chain) == hash(tupled)
+    assert compose(PHI, PHI_INV) == tupled == tupled.invert().invert()
+
+
 def test_equality_compares_every_field():
     v = OKUBO_PLANE.point_to_veronese(P)
     assert VeroneseVec(v.x1, v.x2, v.x3, v.l1, v.l2, QS_ZERO) != v
@@ -184,6 +199,8 @@ def test_constructor_checks_stay():
         Composite((PHI, PHI))
     with pytest.raises(ValueError):
         LinMap8(TAU.images[:7])
+    with pytest.raises(ValueError, match="exactly 8"):
+        Vec8(E.c[:7])
     with pytest.raises(ZeroDivisionError):
         HermMat3(0, basis_matrices()[0].entries)
 
