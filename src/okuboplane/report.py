@@ -19,15 +19,17 @@ import json
 import time
 from typing import Callable, Iterable, Iterator, Optional
 
-from .algebra import AlgebraKind, trial_rng
+from .algebra import AlgebraKind, DegenerateAfterRetries, trial_rng
 from .plane import EqualLines, EqualPoints, NotVeronese, PostconditionViolation
 from .scalar import Frozen, ZeroInverse
 from .theorems import DegenerateConfig
 
 # a broken postcondition, a Veronese vector that is not one, a coincidence the
-# geometry rules out, a zero divisor that cannot be zero
+# geometry rules out, a zero divisor that cannot be zero, a draw whose rejection
+# (say, a point off a line) holds for every candidate
 BROKEN_IDENTITY = (
     PostconditionViolation, NotVeronese, EqualPoints, EqualLines, DegenerateConfig, ZeroInverse,
+    DegenerateAfterRetries,
 )
 
 

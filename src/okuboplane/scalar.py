@@ -278,17 +278,23 @@ QS_HALF = _raw(1, 0, 2)
 SQRT3 = _raw(0, 1, 1)
 
 
+def _ratio(n: int, d: int) -> str:
+    """The text ``n/d`` of the rational n/d, ``d > 0``, in lowest terms (``n`` when d is 1)."""
+    g = _gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def render(x: QSqrt3) -> str:
-    """Canonical text form ``p/q + r/s*sqrt3`` (terms dropped when zero)."""
-    a, b = x.a, x.b
-    if not b:
-        return str(a)
-    bs = "sqrt3" if b == 1 else ("-sqrt3" if b == -1 else f"{b}*sqrt3")
-    if not a:
-        return bs
-    if b < 0:
-        return f"{a} - {bs.lstrip('-')}"
-    return f"{a} + {bs}"
+    """Canonical text form ``p/q + r/s*sqrt3`` (terms dropped when zero), read
+    from the integer triple with one gcd per term."""
+    p, q, d = x.p, x.q, x.d
+    if not q:
+        return _ratio(p, d)
+    b = _ratio(abs(q), d)
+    bs = "sqrt3" if b == "1" else f"{b}*sqrt3"
+    if not p:
+        return bs if q > 0 else f"-{bs}"
+    return f"{_ratio(p, d)} {'+' if q > 0 else '-'} {bs}"
 
 
 _SCALAR_RE = re.compile(

@@ -554,7 +554,9 @@ FULL_DESARGUES_BUDGET = 1000
 def _little_desargues(plane, n, seed):
     """n built configurations whose last intersection must land on the axis:
     each is 11 exact joins and 5 meets (9 and 4 to build it, 2 joins for its
-    incidences and 1 meet for l1)."""
+    incidences and 1 meet for l1) and, when no draw is rejected, 27 incidence
+    tests (8 in the draws and 13 in the postconditions of the build, 2 checks
+    and 2 join postconditions for its incidences, 2 for l1 and its verdict)."""
     for i in range(n):
         cfg = theorems.little_desargues_build(plane, theorems.config_seed(seed, i))
         bad = theorems.config_incidences(plane, cfg)

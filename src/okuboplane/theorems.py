@@ -6,10 +6,11 @@ verified by checking that the last intersection point lands on the axis; the
 same construction with the center off the axis searches for an exact
 counterexample to the full Desargues theorem.  A built configuration carries
 the seven sides its build joined (a o, b o, c o, a b, a c, c b and c' b'), and
-the checks read them there, so each side is joined once; only a' b' and a' c',
-which the build never makes, are joined by the checks.  The planar ternary
-ring of the Okubo plane, and the basis pair showing it is not linear, close
-the module.
+l1 is met from c b and c' b' read there.  Its incidence checks re-test only the
+two incidences no build step settled, l3 on a' b' and l2 on a' c', joining the
+two sides the build never makes; so each side is joined once and no incidence
+is tested twice.  The planar ternary ring of the Okubo plane, and the basis
+pair showing it is not linear, close the module.
 """
 
 from __future__ import annotations
@@ -83,13 +84,17 @@ def _carrying(cfg: DesarguesConfig, lines: tuple) -> DesarguesConfig:
     return cfg
 
 
+def _built_lines(plane: Plane, cfg: DesarguesConfig) -> Optional[dict]:
+    """The sides ``cfg``'s build joined, when it carries the lines of ``plane``; else None."""
+    carried = cfg._lines
+    return carried[1] if carried is not None and carried[0] is plane.kind else None
+
+
 def _side(plane: Plane, cfg: DesarguesConfig, p: str, q: str) -> PjLine:
     """The line through the points of ``cfg`` named ``p`` and ``q``: the one the
     build joined, when ``cfg`` carries the lines of this plane, else a new join."""
-    carried = cfg._lines
-    if carried is not None and carried[0] is plane.kind and (p, q) in carried[1]:
-        return carried[1][p, q]
-    return plane.join(getattr(cfg, p), getattr(cfg, q))
+    line = (_built_lines(plane, cfg) or {}).get((p, q))
+    return plane.join(getattr(cfg, p), getattr(cfg, q)) if line is None else line
 
 
 def _build_config(plane: Plane, seed: int, center_on_axis: bool) -> DesarguesConfig:
@@ -174,25 +179,40 @@ def desargues_falsify(plane: Plane, seed: int, max_trials: int) -> Optional[Desa
 
 def config_incidences(plane: Plane, cfg: DesarguesConfig) -> list[str]:
     """Names of violated construction incidences (empty for a sound config).
-    Each side is the build's line when ``cfg`` carries the lines of ``plane``;
-    a'b' and a'c', which the build never joins, are always joined here."""
+
+    A configuration that carries the lines of ``plane`` re-tests two: l3 on a' b' and l2 on
+    a' c'.  No build step makes them; each says that the new join a' v' is the build's l a',
+    which is the uniqueness of a line.  The build settled the other seven.  ``_meet`` and
+    ``random_affine_point_on`` build a point of a finite line l as (x, l.s o x + l.t), or as
+    the slope point l.s when ``_meet``'s lines are parallel, and of a vertical line as (l.c, y):
+    the expression ``incident`` evaluates, so the point is on l by construction; ``meet`` then
+    tested the other line, with the same point and line.  So a' is
+    on a o by construction.  l3 = (a b) meet axis is on a b by construction and was tested on
+    the axis; when a b is vertical, ``_meet`` swaps the lines, so l3 is on the axis by
+    construction and was tested on a b; l2 likewise.  b' = (l3 a') meet (b o) was tested on
+    b o, or, when ``_meet`` swaps because l3 a' is vertical and b o is not, is on b o by
+    construction; when both are vertical, b' is the point at infinity, which is on every
+    vertical line; c' likewise.  Any other configuration (replayed, copied or built in
+    another plane) is tested on all nine, each side joined anew, in this order."""
     on = plane.incident
 
     def j(p: str, q: str) -> PjLine:
-        return _side(plane, cfg, p, q)
+        return plane.join(getattr(cfg, p), getattr(cfg, q))
 
     checks = {
-        "a1 on join(a, center)": on(cfg.a1, j("a", "center")),
-        "b1 on join(b, center)": on(cfg.b1, j("b", "center")),
-        "c1 on join(c, center)": on(cfg.c1, j("c", "center")),
-        "l3 on axis": on(cfg.l3, cfg.axis),
-        "l3 on join(a, b)": on(cfg.l3, j("a", "b")),
-        "l3 on join(a1, b1)": on(cfg.l3, j("a1", "b1")),
-        "l2 on axis": on(cfg.l2, cfg.axis),
-        "l2 on join(a, c)": on(cfg.l2, j("a", "c")),
-        "l2 on join(a1, c1)": on(cfg.l2, j("a1", "c1")),
+        "a1 on join(a, center)": lambda: on(cfg.a1, j("a", "center")),
+        "b1 on join(b, center)": lambda: on(cfg.b1, j("b", "center")),
+        "c1 on join(c, center)": lambda: on(cfg.c1, j("c", "center")),
+        "l3 on axis": lambda: on(cfg.l3, cfg.axis),
+        "l3 on join(a, b)": lambda: on(cfg.l3, j("a", "b")),
+        "l3 on join(a1, b1)": lambda: on(cfg.l3, j("a1", "b1")),
+        "l2 on axis": lambda: on(cfg.l2, cfg.axis),
+        "l2 on join(a, c)": lambda: on(cfg.l2, j("a", "c")),
+        "l2 on join(a1, c1)": lambda: on(cfg.l2, j("a1", "c1")),
     }
-    return [name for name, ok in checks.items() if not ok]
+    if _built_lines(plane, cfg) is not None:
+        checks = {name: checks[name] for name in ("l3 on join(a1, b1)", "l2 on join(a1, c1)")}
+    return [name for name, holds in checks.items() if not holds()]
 
 
 # -- planar ternary ring over the Okubo plane -------------------------------

@@ -272,6 +272,25 @@ def test_a_build_that_raises_fails_the_desargues_rows(monkeypatch, capsys):
                                        "detail": "the join of two distinct points saw them equal"}]
 
 
+def test_a_draw_that_stays_degenerate_fails_the_desargues_rows(monkeypatch, capsys):
+    from okuboplane.plane import AffinePoint, FiniteLine, Plane
+
+    incident = Plane.incident
+
+    def broken(self, p, l):  # every affine point on every finite line, the axis included
+        return isinstance(p, AffinePoint) and isinstance(l, FiniteLine) or incident(self, p, l)
+
+    monkeypatch.setattr(Plane, "incident", broken)
+    rc, out = run_cli(["desargues", "--trials", "5", "--seed", "0", "--format", "json"], capsys)
+    assert rc == 1
+    reports = json.loads(out)
+    assert len(reports) == 6
+    for report in reports:
+        assert report["verdict"] == "fail" and report["witnesses"] == []
+        assert report["failures"] == [{"error": "DegenerateAfterRetries",
+                                       "detail": "64 draws stayed degenerate; widen the generator range"}]
+
+
 def test_missing_ptr_witness_fails_report(monkeypatch, capsys):
     from okuboplane import theorems
     from okuboplane.algebra import AlgebraKind, mul

@@ -78,6 +78,7 @@ from okuboplane.scalar import (  # noqa: E402
     parse,
     render,
 )
+from okuboplane.theorems import desargues_falsify  # noqa: E402
 
 _NUMERATORS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**96), 2**96))
 _DENOMINATORS = st.one_of(st.just(1), st.integers(1, 6), st.integers(1, 2**80))
@@ -224,6 +225,35 @@ def test_scalar_parse_accepts_exactly_what_render_writes(text):
     except ValueError:
         return
     assert render(value) == text
+
+
+def _fraction_render(x: QSqrt3) -> str:
+    """The text form written from the Fractions ``x.a`` and ``x.b``: the reference."""
+    a, b = x.a, x.b
+    if not b:
+        return str(a)
+    bs = "sqrt3" if b == 1 else ("-sqrt3" if b == -1 else f"{b}*sqrt3")
+    if not a:
+        return bs
+    return f"{a} - {bs.lstrip('-')}" if b < 0 else f"{a} + {bs}"
+
+
+_HUGE = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+
+
+@given(st.one_of(scalars, st.builds(QSqrt3, _HUGE, _HUGE), st.builds(lambda b: QSqrt3(0, b), _HUGE)))
+def test_render_writes_the_fraction_text(x):
+    assert render(x) == _fraction_render(x)
+
+
+def test_render_writes_the_fraction_text_of_every_witness_coordinate():
+    for plane in PLANES.values():
+        for seed in range(6):
+            witness = desargues_falsify(plane, seed, 10)
+            for element in witness._values(witness):
+                for v in element._values(element):
+                    for x in v.c:
+                        assert render(x) == _fraction_render(x)
 
 
 # -- Z[sqrt3, i] entries and integer matrices against dense Fractions ----------

@@ -16,6 +16,7 @@ from okuboplane.plane import (
     AffinePoint,
     FiniteLine,
     Plane,
+    random_affine_point_on,
 )
 from okuboplane.scalar import QSqrt3
 from okuboplane.suites import (
@@ -202,6 +203,20 @@ def test_no_side_is_joined_twice(monkeypatch, seed):
     assert joins and not repeated, f"{repeated} of {len(joins)} joins repeat an earlier one"
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_no_incidence_is_tested_twice(monkeypatch, seed):
+    calls, incident = [], Plane.incident
+
+    def recording(self, p, l):
+        calls.append((self.kind, p, l))
+        return incident(self, p, l)
+
+    monkeypatch.setattr(Plane, "incident", recording)
+    suite_desargues("all", 1, seed)
+    repeated = sum(n - 1 for n in Counter(calls).values())
+    assert calls and not repeated, f"{repeated} of {len(calls)} incidence tests repeat an earlier one"
+
+
 def _count_everywhere(monkeypatch, fn, counts, falsifying):
     """Rebinds ``fn`` under every name an okuboplane module gives it, as the
     benchmark's span tracer does, to a shim that counts its calls, and those
@@ -280,6 +295,64 @@ def test_carried_lines_change_no_result_and_no_value(kind):
             assert cfg.l1 in (None, desargues_l1(plane, cfg))
             for other in PLANES.values():  # lines of another plane are never read
                 assert _checked(other, cfg) == _checked(other, replayed)
+
+
+def _nine(plane, cfg):
+    """The (point, line) of each construction incidence, lines joined anew, in check order."""
+    def j(p, q):
+        return plane.join(getattr(cfg, p), getattr(cfg, q))
+
+    return [(cfg.a1, j("a", "center")), (cfg.b1, j("b", "center")), (cfg.c1, j("c", "center")),
+            (cfg.l3, cfg.axis), (cfg.l3, j("a", "b")), (cfg.l3, j("a1", "b1")),
+            (cfg.l2, cfg.axis), (cfg.l2, j("a", "c")), (cfg.l2, j("a1", "c1"))]
+
+
+def _tested(monkeypatch, plane, cfg):
+    """What ``config_incidences`` says of ``cfg``, and which construction incidences it tested."""
+    nine, calls, incident = _nine(plane, cfg), [], Plane.incident
+
+    def recording(self, p, l):
+        calls.append((p, l))
+        return incident(self, p, l)
+
+    with monkeypatch.context() as m:
+        m.setattr(Plane, "incident", recording)
+        broken = config_incidences(plane, cfg)
+    return broken, [call for call in calls if call in nine]
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_only_a_replayed_configuration_is_tested_on_all_nine_incidences(monkeypatch, kind):
+    plane = PLANES[kind]
+    for seed in range(6):
+        for cfg in (little_desargues_build(plane, seed), desargues_falsify(plane, seed, 10)):
+            nine = _nine(plane, cfg)
+            # built: only l3 on a' b' and l2 on a' c', which no build step settles
+            assert _tested(monkeypatch, plane, cfg) == ([], [nine[5], nine[8]])
+            replayed = DesarguesConfig.from_json(cfg.to_json())
+            assert _tested(monkeypatch, plane, replayed) == ([], nine)
+
+
+def test_a_replayed_configuration_names_the_incidence_it_breaks():
+    plane = OKUBO_PLANE
+    cfg = little_desargues_build(plane, 0)
+    # b' moved along l3 a', so that a' b' stays l3 a' and only b' on b o breaks
+    moved = random_affine_point_on(plane, plane.join(cfg.l3, cfg.a1), trial_rng(1, 0))
+    replayed = DesarguesConfig.from_json({**cfg.to_json(), "b1": moved.to_json()})
+    assert config_incidences(plane, replayed) == ["b1 on join(b, center)"]
+
+
+def test_a_carried_configuration_names_the_incidence_it_breaks():
+    plane = OKUBO_PLANE
+    cfg = little_desargues_build(plane, 0)
+    # l3 moved along the axis, off a b and a' b'
+    moved = random_affine_point_on(plane, cfg.axis, trial_rng(1, 0))
+    values = {**dict(zip(cfg._fields, cfg._values(cfg))), "l3": moved}
+    carried = theorems._carrying(DesarguesConfig(**values), cfg._lines)
+    assert config_incidences(plane, carried) == ["l3 on join(a1, b1)"]
+    # the same points with no lines carried: a b is joined and tested as well
+    assert config_incidences(plane, DesarguesConfig(**values)) == [
+        "l3 on join(a, b)", "l3 on join(a1, b1)"]
 
 
 # -- planar ternary ring -----------------------------------------------------------
