@@ -31,7 +31,10 @@ coefficient of a column as ``(k, a, b)``, meaning ``(a + b*sqrt3)/D`` times
 ``basis_k`` over one integer denominator ``D`` per map (built by
 :func:`_integer_columns`).  The kernel reads those columns only, so a Gram
 contraction visits the 10 non-zero cells of the Gram matrix, not 64.  A term
-``x_i * y_j * c_ijk`` is then one integer triple and one normalisation.
+``x_i * y_j * c_ijk`` is then one integer triple and one normalisation,
+added to its coordinate in place.  The identity laws and the product
+conversions multiply through :func:`memo_mul`, which makes each distinct
+operand pair of one trial or one basis scan once.
 
 A ``Vec8`` stores its coordinates as those canonical integer triples, so the
 kernel reads its operands' triples and hands its result triples to a new
@@ -255,8 +258,9 @@ def _contract(xs: Sequence[_Triple], maps: Sequence[LinMap8],
               ys: Sequence[_Triple]) -> tuple[_Triple, ...]:
     """The coordinates of sum_ij x_i y_j maps[i](basis_j) as canonical triples, for
     coordinate triples ``xs`` and ``ys``: each term, one integer triple over
-    ``d_x d_y D`` from the non-empty integer columns, is added to its coordinate by
-    ``scalar._add``.  A ``Vec8`` keeps the result as it is."""
+    ``d_x d_y D`` from the non-empty integer columns, is added to its coordinate in
+    place, by the arithmetic of ``scalar._add`` (a test binds the two).  A ``Vec8``
+    keeps the result as it is."""
     out = [_ZERO_TRIPLE] * 8
     for (xp, xq, xd), f in zip(xs, maps):
         if not (xp or xq):
@@ -268,8 +272,17 @@ def _contract(xs: Sequence[_Triple], maps: Sequence[LinMap8],
                 continue
             sp, sq, sd = xp * yp + 3 * xq * yq, xp * yq + xq * yp, xd * yd
             for k, a, b in column:
-                op, oq, od = out[k]
-                out[k] = _add(op, oq, od, a * sp + 3 * b * sq, a * sq + b * sp, sd)
+                tp, tq = a * sp + 3 * b * sq, a * sq + b * sp
+                p, q, d = out[k]
+                if d == sd:
+                    p, q = p + tp, q + tq
+                else:
+                    p, q, d = p * sd + tp * d, q * sd + tq * d, d * sd
+                if d != 1:
+                    g = _gcd(p, q, d)
+                    if g > 1:
+                        p, q, d = p // g, q // g, d // g
+                out[k] = p, q, d
     return tuple(out)
 
 
@@ -720,23 +733,49 @@ _IDENTITIES = {
 }
 
 
-def check_identity(kind: AlgebraKind, name: str, x: Vec8, y: Vec8, z: Vec8) -> bool:
-    """Evaluate both sides of the named identity exactly and compare."""
+def memo_mul(kind: AlgebraKind) -> Callable[[Vec8, Vec8], Vec8]:
+    """``mul(kind, x, y)`` through a fresh memo keyed by the value of the
+    operand pair, so each distinct pair goes through ``mul`` once and a traced
+    ``mul`` still counts every product the kernel makes.  One memo serves one
+    trial or one basis scan and is dropped with it: rows share
+    ``trial_rng(seed, i)``, so a memo across trials or rows would skip work
+    that each of them is meant to do."""
+    memo: dict[tuple[tuple[_Triple, ...], tuple[_Triple, ...]], Vec8] = {}
+
+    def product(x: Vec8, y: Vec8) -> Vec8:
+        key = (x._triples, y._triples)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = mul(kind, x, y)
+        return out
+
+    return product
+
+
+def identity_holds(m: Callable[[Vec8, Vec8], Vec8], name: str,
+                   x: Vec8, y: Vec8, z: Vec8) -> bool:
+    """Both sides of the named identity for the product ``m``, exactly compared."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
-    return _IDENTITIES[name](lambda a, b: mul(kind, a, b), x, y, z)
+    return _IDENTITIES[name](m, x, y, z)
+
+
+def check_identity(kind: AlgebraKind, name: str, x: Vec8, y: Vec8, z: Vec8) -> bool:
+    """Evaluate both sides of the named identity exactly and compare."""
+    return identity_holds(lambda a, b: mul(kind, a, b), name, x, y, z)
 
 
 def product_conversion_crosscheck(x: Vec8, y: Vec8) -> bool:
-    """All six product conversions between the three algebras, at (x, y)."""
-    ok = lambda a, b: mul(AlgebraKind.OKUBO, a, b)
-    oc = lambda a, b: mul(AlgebraKind.OCTONION, a, b)
-    pa = lambda a, b: mul(AlgebraKind.PARA_OCTONION, a, b)
-    cj = conjugate_oct
+    """All six product conversions between the three algebras, at (x, y),
+    each product through one memo per kind, so ok(x, y), pa(x, y) and oc(x, y)
+    are each made once."""
+    ok, oc, pa = map(memo_mul, (AlgebraKind.OKUBO, AlgebraKind.OCTONION,
+                                AlgebraKind.PARA_OCTONION))
+    cx, cy = conjugate_oct(x), conjugate_oct(y)
     t, t2 = trivolution, trivolution_sq
     return (
-        ok(x, y) == oc(t(cj(x)), t2(cj(y)))
-        and pa(x, y) == oc(cj(x), cj(y))
+        ok(x, y) == oc(t(cx), t2(cy))
+        and pa(x, y) == oc(cx, cy)
         and oc(x, y) == ok(ok(E, x), ok(y, E))
         and pa(x, y) == ok(t2(x), t(y))
         and ok(x, y) == pa(t(x), t2(y))

@@ -3,8 +3,11 @@
 Exit status: 0 when every suite passed (expected-fail statements count as
 passed exactly when their witness was found), 1 on any suite failure, 2 on
 bad arguments, an ``--output`` that cannot be opened for writing included
-(checked before any suite runs).  Reports with identical (command, kind,
-seed, trials) are byte-identical apart from the elapsed_ms fields.
+(checked before any suite runs).  A command that makes no report for the
+kind (``ptr --kind para``: no row lists the para plane) verified nothing,
+so it cannot pass: it writes no report, names the command and the kind on
+stderr and exits 2.  Reports with identical (command, kind, seed, trials)
+are byte-identical apart from the elapsed_ms fields.
 
 The argument parser is built on first use, not at import, and every later
 call reuses it while ``$OKUBOPLANE_SEED``, the one default it reads from the
@@ -108,6 +111,10 @@ def run_command(
 ) -> int:
     runner = suite_all if command == "all" else SUITES[command]
     reports = runner(kind, trials, seed)
+    if not reports:
+        sys.stderr.write(f"okuboplane {command}: no report lists --kind {kind},"
+                         " so nothing was verified\n")
+        return 2
     if fmt == "json":
         _write(output, reports_to_json(reports))
     else:

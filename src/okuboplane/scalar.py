@@ -14,8 +14,10 @@ at all when the denominator is 1).  Every value, ``QSqrt3(a, b)`` included,
 is brought to canonical form by one normaliser, ``_normal``, which returns
 the integer triple; ``_canonical`` writes that triple into a value through
 ``_raw``.  Every sum is made by one adder, ``_add``, which sums two integer
-triples to a reduced one: ``+``, ``-``, every product-kernel term and every
-vector coordinate sum go through it.
+triples to a reduced one: ``+``, ``-`` and every vector coordinate sum go
+through it.  The product kernel ``algebra._contract`` adds each term to its
+coordinate in place with the same arithmetic, written out in its loop so that
+a term costs no call; a property test binds the two sums.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -34,9 +35,11 @@ from okuboplane.algebra import (
     draw,
     entry_conj,
     gram,
+    identity_holds,
     left_quotient,
     matrix_norm,
     matrix_to_vec,
+    memo_mul,
     mul,
     norm,
     okubo_matrix_mul,
@@ -564,6 +567,17 @@ def test_composition_property():
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         check_identity(OK, "Jacobi", E, E, E)
+    with pytest.raises(ValueError):
+        identity_holds(memo_mul(OK), "Jacobi", E, E, E)
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda k: k.value)
+def test_every_law_through_one_memo_agrees_with_check_identity_on_the_basis(kind):
+    # one memo across all the laws' scans, as the moufang-identities-fail row keeps one
+    m = memo_mul(kind)
+    for name in algebra._IDENTITIES:
+        for x, y, z in product(BASIS, repeat=3):
+            assert identity_holds(m, name, x, y, z) == check_identity(kind, name, x, y, z)
 
 
 def test_product_conversion_crosscheck():

@@ -11,6 +11,7 @@ import pytest
 from okuboplane.algebra import Vec8
 from okuboplane.cli import build_parser, main
 from okuboplane.plane import PjPoint, line_from_json, point_from_json
+from okuboplane.suites import SUITES
 from okuboplane.theorems import DesarguesConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -109,6 +110,17 @@ def test_invalid_kind_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--kind", "sedenion"])
     assert exc.value.code == 2
+
+
+def test_a_command_that_makes_no_report_exits_two(capsys):
+    # no ptr row lists the para plane: a run that verifies nothing cannot pass
+    assert main(["ptr", "--kind", "para", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "okuboplane ptr: no report lists --kind para, so nothing was verified\n"
+    # every other (command, kind) pair makes a report, so no other run is refused
+    pairs = [(c, k) for c in SUITES for k in ("okubo", "para", "octonion")]
+    assert [p for p in pairs if not SUITES[p[0]](p[1], 1, 0)] == [("ptr", "para")]
 
 
 def test_seed_env_var_default_with_flag_override(monkeypatch):

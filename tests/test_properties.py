@@ -31,6 +31,7 @@ from okuboplane.algebra import (  # noqa: E402
     Vec8,
     _matmul,
     entry_mul,
+    gram,
     matrix_polar,
     matrix_to_vec,
     mul,
@@ -320,7 +321,20 @@ def test_matmul_equals_dense_sum(x, y):
 vectors = st.lists(st.one_of(st.just(QS_ZERO), scalars), min_size=8, max_size=8).map(Vec8)
 nonzero_vectors = vectors.filter(bool)
 
+# mixed coordinates of both signs over denominators d != 1, of heights up to 2^200
+_TALL = st.integers(-(2**200), 2**200)
+tall_scalars = st.builds(lambda p, q, d: QSqrt3(Fraction(p, d), Fraction(q, d)),
+                         _TALL, _TALL, st.integers(2, 2**200))
+tall_vectors = st.lists(st.one_of(st.just(QS_ZERO), tall_scalars), min_size=8,
+                        max_size=8).map(Vec8)
+
 KINDS = list(AlgebraKind)
+
+
+def _assert_canonical(v: Vec8) -> None:
+    # the kernel hands its sums to the vector as they are, trusted to be canonical
+    for p, q, d in v._triples:
+        assert d > 0 and math.gcd(p, q, d) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
@@ -342,7 +356,7 @@ def test_right_division(kind, a, b):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
-@given(x=vectors, y=vectors)
+@given(x=st.one_of(vectors, tall_vectors), y=st.one_of(vectors, tall_vectors))
 def test_product_is_the_structure_constant_expansion(kind, x, y):
     # sum_ij x_i y_j (basis_i o basis_j), term by term with QSqrt3 * and +
     products = structure_table(kind).products
@@ -352,7 +366,21 @@ def test_product_is_the_structure_constant_expansion(kind, x, y):
             xy = x[i] * y[j]
             for k in range(8):
                 expected[k] = expected[k] + xy * products[i][j][k]
-    assert mul(kind, x, y) == Vec8(expected)
+    out = mul(kind, x, y)
+    assert out == Vec8(expected)
+    _assert_canonical(out)
+
+
+@given(x=st.one_of(vectors, tall_vectors), y=st.one_of(vectors, tall_vectors))
+def test_polar_is_the_gram_expansion(x, y):
+    g = gram().g
+    expected = QS_ZERO
+    for i in range(8):
+        for j in range(8):
+            expected = expected + x[i] * y[j] * g[i][j]
+    out = polar(x, y)
+    assert out == expected
+    assert out.d > 0 and math.gcd(out.p, out.q, out.d) == 1
 
 
 @given(x=vectors, y=vectors)
@@ -379,15 +407,38 @@ map_scalars = st.one_of(
 maps = st.lists(
     st.lists(map_scalars, min_size=8, max_size=8).map(Vec8), min_size=8, max_size=8,
 ).map(LinMap8)
+# mostly zero images, so that the one denominator of a map keeps to a few thousand bits
+tall_maps = st.lists(
+    st.lists(st.one_of(st.just(QS_ZERO), st.just(QS_ZERO), st.just(QS_ZERO), tall_scalars),
+             min_size=8, max_size=8).map(Vec8), min_size=8, max_size=8,
+).map(LinMap8)
 
 
-@given(f=maps, v=vectors)
+@given(f=st.one_of(maps, tall_maps), v=st.one_of(vectors, tall_vectors))
 def test_linear_map_apply_is_the_sum_of_scaled_images(f, v):
     expected = [QS_ZERO] * 8
     for vj, image in zip(v, f.images):
         for k, c in enumerate(image):
             expected[k] = expected[k] + vj * c
-    assert f.apply(v) == Vec8(expected)
+    out = f.apply(v)
+    assert out == Vec8(expected)
+    _assert_canonical(out)
+
+
+@example(QS_HALF, QS_HALF, QS_ONE)  # equal denominators: numerators added
+@example(QS_HALF, -QS_HALF, QS_ONE)  # the terms cancel to (0, 0, 1)
+@example(QSqrt3.of(1, 3), QSqrt3.of(1, 2), QSqrt3.of(2, 3))  # term unreduced over D = 3
+@given(x=tall_scalars, y=tall_scalars, c=st.one_of(tall_scalars, map_scalars))
+def test_kernel_sums_each_term_as_scalar_add_does(x, y, c):
+    # coordinate 0 of f(x e + y i1), with f(e) = e and f(i1) = c e, is the kernel's
+    # sum of the terms x and c*y over f.den, each added in place to the coordinate
+    f = LinMap8((E, E.scale(c), *[Vec8.zero()] * 6))
+    v = Vec8((x, y, *[QS_ZERO] * 6))
+    expected = (0, 0, 1)
+    for j, ((k, a, b),) in f.columns:
+        yp, yq, yd = v._triples[j]
+        expected = _add(*expected, a * yp + 3 * b * yq, a * yq + b * yp, f.den * yd)
+    assert f.apply(v)._triples == (expected, *[(0, 0, 1)] * 7)
 
 
 @given(x=vectors)

@@ -6,6 +6,7 @@ configuration seeds as the full-Desargues search does."""
 
 import ast
 import inspect
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,8 @@ from okuboplane.algebra import (
 from okuboplane.report import Scan
 from okuboplane.scalar import QS_ZERO
 
-OK = AlgebraKind.OKUBO
+OK, PA, OC = AlgebraKind.OKUBO, AlgebraKind.PARA_OCTONION, AlgebraKind.OCTONION
+MOUFANG_FAILS = suites.MOUFANG_FAILS
 ROWS = {getattr(row, "name", None): row for row in suites.IDENTITY_ROWS}
 SCANS = ("structure-table-vs-matrix-oracle", "gram-positive-definite-minors",
          "trivolution-order-three")
@@ -146,3 +148,69 @@ def test_little_desargues_asks_for_the_config_seeds(monkeypatch):
     monkeypatch.setattr(theorems, "little_desargues_build", record)
     assert all(r.ok for r in suites.suite_desargues("okubo", 3, 7))
     assert seeds == [theorems.config_seed(7, i) for i in range(3)]
+
+
+# -- products per memo scope ------------------------------------------------------
+
+@pytest.fixture
+def products(monkeypatch):
+    """The ``algebra.mul`` calls by kind, wherever the package makes them."""
+    counts, mul = Counter(), algebra.mul
+
+    def counted(kind, x, y):
+        counts[kind.value] += 1
+        return mul(kind, x, y)
+
+    monkeypatch.setattr(algebra, "mul", counted)
+    monkeypatch.setattr(suites, "mul", counted)
+    return counts
+
+
+def _made(products, run):
+    products.clear()
+    run()
+    return dict(products)
+
+
+def test_a_memo_keys_on_the_value_of_the_operand_pair(products):
+    m = algebra.memo_mul(OK)
+    x = BASIS[1] + BASIS[2]
+    y = algebra.Vec8(tuple(x))  # equal to x, built apart
+    assert m(x, BASIS[3]) is m(y, BASIS[3])
+    assert m(BASIS[3], x) == algebra.mul(OK, BASIS[3], x)
+    assert products == {"okubo": 3}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_moufang_trial_multiplies_each_pair_once(products, seed):
+    # 26 products when each of the five laws multiplies on its own; a second trial
+    # on the same inputs shares no memo with the first
+    check = ROWS["moufang-identities-hold"].check
+    for _ in range(2):
+        assert _made(products, lambda: check(OC, algebra.trial_rng(seed, 0))) == {"octonion": 21}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_conversion_check_multiplies_each_pair_once(products, seed):
+    # ok(x, y), pa(x, y) and oc(x, y) once each: 13 products, not 16
+    rng = algebra.trial_rng(seed, 0)
+    x, y = algebra.random_vec(rng), algebra.random_vec(rng)
+    for _ in range(2):
+        made = _made(products, lambda: algebra.product_conversion_crosscheck(x, y))
+        assert made == {"okubo": 5, "para": 5, "octonion": 3}
+
+
+@pytest.mark.parametrize("kind, made", [(PA, 29), (OK, 9)], ids=["para", "okubo"])
+def test_the_moufang_fail_scans_share_one_memo_per_report(products, kind, made):
+    # 192 and 108 products when each law's scan multiplies on its own
+    for _ in range(2):
+        assert _made(products, lambda: MOUFANG_FAILS.report(kind, kind, 3, 0)) == {kind.value: made}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_an_identities_pass_makes_the_products_pinned_in_ci(products, seed):
+    # 300, 360 and 370 before the memos; a second pass makes as many, so no memo
+    # outlives its trial or scan, although rows share trial_rng(seed, i)
+    want = {"okubo": 193, "para": 189, "octonion": 322}
+    for _ in range(2):
+        assert _made(products, lambda: suites.suite_identities("all", 8, seed)) == want
